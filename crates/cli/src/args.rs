@@ -71,12 +71,17 @@ impl Args {
 
     /// Typed option with a default; errors name the flag.
     pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse::<T>()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+
+    /// Typed option, `None` when absent; errors name the flag.
+    pub fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| {
+                v.parse::<T>()
+                    .map_err(|_| format!("--{key}: cannot parse '{v}'"))
+            })
+            .transpose()
     }
 
     /// Boolean flag (present without value, or an explicit true/false).

@@ -7,10 +7,14 @@ use paba_core::{
 };
 use paba_mcrunner::{run_parallel_live, LiveRun};
 use paba_popularity::Popularity;
+use paba_repro::churn_experiments::ChurnParams;
+use paba_repro::queueing_experiments::QueueingParams;
+use paba_repro::{ReproConfig, Suite};
 use paba_telemetry::{
     AtomicRecorder, MetricsServer, NullRecorder, Recorder, Tee, TelemetrySnapshot, TraceReport,
 };
 use paba_topology::Torus;
+use paba_util::envcfg::Scale;
 use paba_util::{schema, Provenance, Summary, Table};
 use paba_workload::{TraceWriter, WorkloadSpec};
 use rand::rngs::SmallRng;
@@ -142,21 +146,19 @@ TRACE OPTIONS (plus the simulate/workload options above):
   --series-out PATH paba-trace-series/1 JSON ('-' = stdout; none)
   --chrome-out PATH Chrome Trace Format spans for Perfetto ('-'; none)
 
-REPRO OPTIONS:
+SUITE OPTIONS (paba repro | churn | queueing; SUITE is the command name):
   --scale S         quick | default | full experiment grids (PABA_SCALE or default)
   --quick           shorthand for --scale quick
   --seed S          master seed (20170529)
   --runs R          override every experiment's Monte-Carlo run count
-  --out PATH        artifact path (BENCH_repro.json; BENCH_repro_fresh.json
+  --out PATH        artifact path (BENCH_SUITE.json; BENCH_SUITE_fresh.json
                     under --check; 'none' skips writing)
   --check           statistically diff the fresh run against --golden and
                     fail on regression or gate failure
-  --golden PATH     committed golden artifact to diff against (BENCH_repro.json)
+  --golden PATH     committed golden artifact to diff against (BENCH_SUITE.json)
   --csv             emit CSV instead of tables
 
-CHURN OPTIONS:
-  --scale/--quick/--seed/--runs/--out/--check/--golden/--csv  as for repro
-                    (artifact BENCH_churn.json; fresh BENCH_churn_fresh.json)
+CHURN OPTIONS (plus the suite options):
   --threads T       worker threads (0 = available parallelism)
   --serve-metrics ADDR  expose live counters (churn events, retries, failed
                     requests, repair migrations) at http://ADDR/metrics
@@ -168,9 +170,7 @@ CHURN OPTIONS:
   --retry-budget B  dead-replica failover retries per request (8)
   --replication R   DHT successor replicas per file (3)
 
-QUEUEING OPTIONS:
-  --scale/--quick/--seed/--runs/--out/--check/--golden/--csv  as for repro
-                    (artifact BENCH_queueing.json; fresh BENCH_queueing_fresh.json)
+QUEUEING OPTIONS (plus the suite options):
   --threads T       worker threads (0 = available parallelism)
   --serve-metrics ADDR  expose run progress at http://ADDR/metrics
   --side/--files/--cache/--gamma/--radius  override the network regime
@@ -1020,6 +1020,19 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The grid scale: `--quick`, else `--scale`, else `PABA_SCALE`.
+fn scale(a: &Args) -> Result<Scale, String> {
+    if a.flag("quick") {
+        return Ok(Scale::Quick);
+    }
+    match a.get("scale") {
+        None => Ok(paba_util::envcfg::EnvCfg::from_env().scale),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'")),
+    }
+}
+
 /// `paba throughput` — the requests/sec harness of `paba-bench`, exposed
 /// on the CLI so perf runs don't require a bench target invocation.
 pub fn throughput(a: &Args) -> Result<(), String> {
@@ -1028,13 +1041,7 @@ pub fn throughput(a: &Args) -> Result<(), String> {
     if !unknown.is_empty() {
         return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
     }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = match a.get("scale") {
-        None => env_cfg.scale,
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-    };
+    let scale = scale(a)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests: u64 = a.parse_or("requests", 0)?;
     let out = a.str_or("out", "BENCH_throughput.json");
@@ -1143,13 +1150,7 @@ pub fn profile(a: &Args) -> Result<(), String> {
     if !unknown.is_empty() {
         return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
     }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = match a.get("scale") {
-        None => env_cfg.scale,
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-    };
+    let scale = scale(a)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let runs: usize = a.parse_or("runs", 4)?;
     if runs == 0 {
@@ -1249,47 +1250,118 @@ fn same_file(a: &str, b: &str) -> bool {
     }
 }
 
-/// `paba repro` — the theorem-gated paper-reproduction suite of
-/// `paba-repro`: run the experiments, print the gates, write the
-/// versioned artifact, and (with `--check`) statistically diff against
-/// the committed golden.
-pub fn repro(a: &Args) -> Result<(), String> {
+/// Option keys every gated suite accepts (see [`suite`]).
+const SUITE_KEYS: &[&str] = &[
+    "scale", "quick", "seed", "runs", "out", "check", "golden", "csv",
+];
+
+/// Extra option keys of `paba churn`: worker threads, the live endpoint,
+/// and the [`ChurnParams`] regime overrides.
+const CHURN_KEYS: &[&str] = &[
+    "threads",
+    "serve-metrics",
+    "side",
+    "files",
+    "cache",
+    "gamma",
+    "radius",
+    "cycle-fraction",
+    "graceful-fraction",
+    "inserts",
+    "repair",
+    "retry-budget",
+    "replication",
+];
+
+/// Extra option keys of `paba queueing`: worker threads, the live
+/// endpoint, and the [`QueueingParams`] regime overrides.
+const QUEUEING_KEYS: &[&str] = &[
+    "threads",
+    "serve-metrics",
+    "side",
+    "files",
+    "cache",
+    "gamma",
+    "radius",
+    "lambda",
+    "horizon",
+    "warmup",
+    "stale-period",
+];
+
+/// The churn suite with its regime overrides; absent knobs keep the scale
+/// default (the configuration the committed golden was generated with).
+fn churn_suite(a: &Args) -> Result<Suite, String> {
+    Ok(Suite::Churn(ChurnParams {
+        side: a.parse_opt("side")?,
+        files: a.parse_opt("files")?,
+        cache: a.parse_opt("cache")?,
+        gamma: a.parse_opt("gamma")?,
+        radius: a.parse_opt("radius")?,
+        cycle_fraction: a.parse_opt("cycle-fraction")?,
+        graceful_fraction: a.parse_opt("graceful-fraction")?,
+        inserts: a.parse_opt("inserts")?,
+        repair: a
+            .get("repair")
+            .map(|s| paba_churn::RepairPolicy::parse(s).map_err(|e| format!("--repair: {e}")))
+            .transpose()?,
+        retry_budget: a.parse_opt("retry-budget")?,
+        replication: a.parse_opt("replication")?,
+    }))
+}
+
+/// The queueing suite with its regime overrides (see [`churn_suite`]).
+fn queueing_suite(a: &Args) -> Result<Suite, String> {
+    Ok(Suite::Queueing(QueueingParams {
+        side: a.parse_opt("side")?,
+        files: a.parse_opt("files")?,
+        cache: a.parse_opt("cache")?,
+        gamma: a.parse_opt("gamma")?,
+        radius: a.parse_opt("radius")?,
+        lambda: a.parse_opt("lambda")?,
+        horizon: a.parse_opt("horizon")?,
+        warmup: a.parse_opt("warmup")?,
+        stale_period: a.parse_opt("stale-period")?,
+    }))
+}
+
+/// `paba repro | churn | queueing` — run one gated [`Suite`] of
+/// `paba-repro`: print its gates, write its versioned artifact, and (with
+/// `--check`) statistically diff it against the committed golden.
+pub fn suite(name: &str, a: &Args) -> Result<(), String> {
     reject_action(a)?;
-    let unknown = a.unknown_keys(&[
-        "scale", "quick", "seed", "runs", "out", "check", "golden", "csv",
-    ]);
+    let (suite, extra_keys) = match name {
+        "repro" => (Suite::Repro, &[][..]),
+        "churn" => (churn_suite(a)?, CHURN_KEYS),
+        "queueing" => (queueing_suite(a)?, QUEUEING_KEYS),
+        other => return Err(format!("unknown suite '{other}'")),
+    };
+    let unknown = a.unknown_keys(&[SUITE_KEYS, extra_keys].concat());
     if !unknown.is_empty() {
         return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
     }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = if a.flag("quick") {
-        paba_util::envcfg::Scale::Quick
-    } else {
-        match a.get("scale") {
-            None => env_cfg.scale,
-            Some(s) => s
-                .parse()
-                .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-        }
-    };
-    let check = a.flag("check");
-    let mut cfg = paba_repro::ReproConfig::new(scale);
+    let mut cfg = ReproConfig::new(scale(a)?);
     cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    cfg.runs_override = match a.get("runs") {
-        None => None,
-        Some(_) => match a.parse_or("runs", 0usize)? {
-            0 => return Err("--runs must be a positive run count".into()),
-            r => Some(r),
-        },
+    cfg.runs_override = match a.parse_opt("runs")? {
+        Some(0) => return Err("--runs must be a positive run count".into()),
+        runs => runs,
     };
-    let default_out = if check {
+    cfg.threads = match a.parse_or("threads", 0usize)? {
+        0 => None,
+        t => Some(t),
+    };
+    suite.validate(cfg.scale)?;
+
+    let name = suite.name();
+    let check = a.flag("check");
+    let artifact_path = format!("BENCH_{name}.json");
+    let out = if check {
         // Never clobber the golden we are about to diff against.
-        "BENCH_repro_fresh.json"
+        a.str_or("out", &format!("BENCH_{name}_fresh.json"))
     } else {
-        "BENCH_repro.json"
+        a.str_or("out", &artifact_path)
     };
-    let out = a.str_or("out", default_out);
-    let golden_path = a.str_or("golden", "BENCH_repro.json");
+    let golden_path = a.str_or("golden", &artifact_path);
     if a.get("golden").is_some() && !check {
         return Err(
             "--golden only makes sense with --check (a plain run would ignore it \
@@ -1307,198 +1379,27 @@ pub fn repro(a: &Args) -> Result<(), String> {
                  ('{golden_path}'); pass a different --out (or 'none')"
             ));
         }
-        Some(paba_repro::Artifact::load(std::path::Path::new(
-            &golden_path,
-        ))?)
-    } else {
-        None
-    };
-
-    let artifact = paba_repro::run_suite(&cfg);
-    let gates = paba_repro::gates_table(&artifact);
-    if a.flag("csv") {
-        print!("{}", gates.to_csv());
-    } else {
-        print!("{}", gates.to_markdown());
-    }
-    if out != "none" {
-        artifact.write(std::path::Path::new(&out))?;
-        eprintln!(
-            "wrote {} gates / {} metrics to {out}",
-            artifact.gates.len(),
-            artifact.metrics.len()
-        );
-    }
-    if !artifact.all_gates_passed() {
-        return Err("reproduction gates failed (see table above)".into());
-    }
-    if let Some(golden) = golden {
-        let rep = paba_repro::check(&artifact, &golden, paba_repro::DEFAULT_CHECK_Z)?;
-        let t = paba_repro::check_table(&rep);
-        if a.flag("csv") {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{}", t.to_markdown());
-        }
-        if !rep.ok() {
-            return Err(format!(
-                "golden check failed: {} regression(s) vs {golden_path}",
-                rep.regressions.len()
-            ));
-        }
-        eprintln!("golden check passed against {golden_path}");
-    }
-    Ok(())
-}
-
-/// `paba churn` — the churn-robustness suite of `paba-repro`: seeded
-/// fault-injection schedules (crash / leave / join / insert) over the
-/// dynamic placement engine, with graceful-degradation and repair gates.
-/// Writes the versioned `paba-churn/1` artifact and (with `--check`)
-/// statistically diffs against the committed golden, exactly like
-/// `paba repro`.
-pub fn churn(a: &Args) -> Result<(), String> {
-    reject_action(a)?;
-    let unknown = a.unknown_keys(&[
-        "scale",
-        "quick",
-        "seed",
-        "runs",
-        "threads",
-        "out",
-        "check",
-        "golden",
-        "csv",
-        "serve-metrics",
-        "side",
-        "files",
-        "cache",
-        "gamma",
-        "radius",
-        "cycle-fraction",
-        "graceful-fraction",
-        "inserts",
-        "repair",
-        "retry-budget",
-        "replication",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = if a.flag("quick") {
-        paba_util::envcfg::Scale::Quick
-    } else {
-        match a.get("scale") {
-            None => env_cfg.scale,
-            Some(s) => s
-                .parse()
-                .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-        }
-    };
-    let check = a.flag("check");
-    let mut cfg = paba_repro::ReproConfig::new(scale);
-    cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    cfg.runs_override = match a.get("runs") {
-        None => None,
-        Some(_) => match a.parse_or("runs", 0usize)? {
-            0 => return Err("--runs must be a positive run count".into()),
-            r => Some(r),
-        },
-    };
-    cfg.threads = match a.parse_or("threads", 0usize)? {
-        0 => None,
-        t => Some(t),
-    };
-
-    // Regime overrides: absent knobs keep the scale default (the
-    // configuration the committed golden was generated with).
-    let opt_u32 = |key: &str| -> Result<Option<u32>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => Ok(Some(a.parse_or(key, 0u32)?)),
-        }
-    };
-    let opt_frac = |key: &str| -> Result<Option<f64>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => {
-                let v: f64 = a.parse_or(key, 0.0f64)?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(format!("--{key}: expected a fraction in [0, 1], got {v}"));
-                }
-                Ok(Some(v))
-            }
-        }
-    };
-    let params = paba_repro::churn_experiments::ChurnParams {
-        side: opt_u32("side")?,
-        files: opt_u32("files")?,
-        cache: opt_u32("cache")?,
-        gamma: match a.get("gamma") {
-            None => None,
-            Some(_) => Some(a.parse_or("gamma", 0.0f64)?),
-        },
-        radius: opt_u32("radius")?,
-        cycle_fraction: opt_frac("cycle-fraction")?,
-        graceful_fraction: opt_frac("graceful-fraction")?,
-        inserts: opt_u32("inserts")?,
-        repair: match a.get("repair") {
-            None => None,
-            Some(s) => {
-                Some(paba_churn::RepairPolicy::parse(s).map_err(|e| format!("--repair: {e}"))?)
-            }
-        },
-        retry_budget: opt_u32("retry-budget")?,
-        replication: opt_u32("replication")?,
-    };
-
-    let default_out = if check {
-        // Never clobber the golden we are about to diff against.
-        "BENCH_churn_fresh.json"
-    } else {
-        "BENCH_churn.json"
-    };
-    let out = a.str_or("out", default_out);
-    let golden_path = a.str_or("golden", "BENCH_churn.json");
-    if a.get("golden").is_some() && !check {
-        return Err(
-            "--golden only makes sense with --check (a plain run would ignore it \
-             and regenerate the artifact instead)"
-                .into(),
-        );
-    }
-    // Load the golden *before* running or writing anything (see `repro`).
-    let golden = if check {
-        if out != "none" && same_file(&out, &golden_path) {
-            return Err(format!(
-                "--check refuses to overwrite the golden it diffs against \
-                 ('{golden_path}'); pass a different --out (or 'none')"
-            ));
-        }
         Some(paba_repro::Artifact::load_expecting(
             std::path::Path::new(&golden_path),
-            schema::CHURN,
+            suite.schema(),
         )?)
     } else {
         None
     };
 
     // `--serve-metrics`: every worker shares one recorder, so a scrape
-    // mid-suite sees churn events, dead-replica retries, failed requests,
-    // and repair migrations accumulate live.
-    let live = a.get("serve-metrics").is_some().then(|| {
-        LiveRun::new(
-            paba_repro::churn_experiments::planned_runs(&cfg) as u64,
-            false,
-        )
-    });
+    // mid-suite sees run progress and the engine's counters (churn
+    // events, dead-replica retries, repair migrations) accumulate live.
+    let live = a
+        .get("serve-metrics")
+        .is_some()
+        .then(|| LiveRun::new(suite.planned_runs(&cfg) as u64, false));
     let _server = match &live {
         Some(l) => spawn_metrics(a, l)?,
         None => None,
     };
 
-    let artifact = paba_repro::run_churn_suite_with(&cfg, &params, live.as_ref());
+    let artifact = suite.run(&cfg, live.as_ref())?;
     let gates = paba_repro::gates_table(&artifact);
     if a.flag("csv") {
         print!("{}", gates.to_csv());
@@ -1517,193 +1418,7 @@ pub fn churn(a: &Args) -> Result<(), String> {
         );
     }
     if !artifact.all_gates_passed() {
-        return Err("churn robustness gates failed (see table above)".into());
-    }
-    if let Some(golden) = golden {
-        let rep = paba_repro::check(&artifact, &golden, paba_repro::DEFAULT_CHECK_Z)?;
-        let t = paba_repro::check_table(&rep);
-        if a.flag("csv") {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{}", t.to_markdown());
-        }
-        if !rep.ok() {
-            return Err(format!(
-                "golden check failed: {} regression(s) vs {golden_path}",
-                rep.regressions.len()
-            ));
-        }
-        eprintln!("golden check passed against {golden_path}");
-    }
-    Ok(())
-}
-
-/// `paba queueing` — the temporal serving-engine suite of `paba-repro`:
-/// paired queueing arms (random, fresh two-choice, stale-signal
-/// two-choice) over seeded cache networks plus an M/M/1 closed-form
-/// reference, gated on the pow-of-d sojourn collapse, Little's law, and
-/// throughput conservation. Writes the versioned `paba-queueing/1`
-/// artifact and (with `--check`) statistically diffs against the
-/// committed golden, exactly like `paba repro`.
-pub fn queueing(a: &Args) -> Result<(), String> {
-    reject_action(a)?;
-    let unknown = a.unknown_keys(&[
-        "scale",
-        "quick",
-        "seed",
-        "runs",
-        "threads",
-        "out",
-        "check",
-        "golden",
-        "csv",
-        "serve-metrics",
-        "side",
-        "files",
-        "cache",
-        "gamma",
-        "radius",
-        "lambda",
-        "horizon",
-        "warmup",
-        "stale-period",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = if a.flag("quick") {
-        paba_util::envcfg::Scale::Quick
-    } else {
-        match a.get("scale") {
-            None => env_cfg.scale,
-            Some(s) => s
-                .parse()
-                .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-        }
-    };
-    let check = a.flag("check");
-    let mut cfg = paba_repro::ReproConfig::new(scale);
-    cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    cfg.runs_override = match a.get("runs") {
-        None => None,
-        Some(_) => match a.parse_or("runs", 0usize)? {
-            0 => return Err("--runs must be a positive run count".into()),
-            r => Some(r),
-        },
-    };
-    cfg.threads = match a.parse_or("threads", 0usize)? {
-        0 => None,
-        t => Some(t),
-    };
-
-    // Regime overrides: absent knobs keep the scale default (the
-    // configuration the committed golden was generated with).
-    let opt_u32 = |key: &str| -> Result<Option<u32>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => Ok(Some(a.parse_or(key, 0u32)?)),
-        }
-    };
-    let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => Ok(Some(a.parse_or(key, 0.0f64)?)),
-        }
-    };
-    let lambda = opt_f64("lambda")?;
-    if let Some(l) = lambda {
-        if !(0.0..1.0).contains(&l) || l == 0.0 {
-            return Err(format!("--lambda must be in (0,1), got {l}"));
-        }
-    }
-    let horizon = opt_f64("horizon")?;
-    let warmup = opt_f64("warmup")?;
-    if let (Some(w), Some(h)) = (warmup, horizon) {
-        if w >= h {
-            return Err(format!("--warmup must precede --horizon ({w} >= {h})"));
-        }
-    }
-    let stale_period = match a.get("stale-period") {
-        None => None,
-        Some(_) => match a.parse_or("stale-period", 0u64)? {
-            0 => return Err("--stale-period must be a positive dispatch count".into()),
-            p => Some(p),
-        },
-    };
-    let params = paba_repro::queueing_experiments::QueueingParams {
-        side: opt_u32("side")?,
-        files: opt_u32("files")?,
-        cache: opt_u32("cache")?,
-        gamma: opt_f64("gamma")?,
-        radius: opt_u32("radius")?,
-        lambda,
-        horizon,
-        warmup,
-        stale_period,
-    };
-
-    let default_out = if check {
-        // Never clobber the golden we are about to diff against.
-        "BENCH_queueing_fresh.json"
-    } else {
-        "BENCH_queueing.json"
-    };
-    let out = a.str_or("out", default_out);
-    let golden_path = a.str_or("golden", "BENCH_queueing.json");
-    if a.get("golden").is_some() && !check {
-        return Err(
-            "--golden only makes sense with --check (a plain run would ignore it \
-             and regenerate the artifact instead)"
-                .into(),
-        );
-    }
-    // Load the golden *before* running or writing anything (see `repro`).
-    let golden = if check {
-        if out != "none" && same_file(&out, &golden_path) {
-            return Err(format!(
-                "--check refuses to overwrite the golden it diffs against \
-                 ('{golden_path}'); pass a different --out (or 'none')"
-            ));
-        }
-        Some(paba_repro::Artifact::load_expecting(
-            std::path::Path::new(&golden_path),
-            schema::QUEUEING,
-        )?)
-    } else {
-        None
-    };
-
-    // `--serve-metrics`: the queueing engine records no counters, so the
-    // live handle exposes run progress only.
-    let live = a.get("serve-metrics").is_some().then(|| {
-        LiveRun::new(
-            paba_repro::queueing_experiments::planned_runs(&cfg) as u64,
-            false,
-        )
-    });
-    let _server = match &live {
-        Some(l) => spawn_metrics(a, l)?,
-        None => None,
-    };
-
-    let artifact = paba_repro::run_queueing_suite_with(&cfg, &params, live.as_ref());
-    let gates = paba_repro::gates_table(&artifact);
-    if a.flag("csv") {
-        print!("{}", gates.to_csv());
-    } else {
-        print!("{}", gates.to_markdown());
-    }
-    if out != "none" {
-        artifact.write(std::path::Path::new(&out))?;
-        eprintln!(
-            "wrote {} gates / {} metrics to {out}",
-            artifact.gates.len(),
-            artifact.metrics.len()
-        );
-    }
-    if !artifact.all_gates_passed() {
-        return Err("queueing gates failed (see table above)".into());
+        return Err(format!("{name} gates failed (see table above)"));
     }
     if let Some(golden) = golden {
         let rep = paba_repro::check(&artifact, &golden, paba_repro::DEFAULT_CHECK_Z)?;
@@ -2151,30 +1866,163 @@ mod tests {
             .contains("--runs"));
     }
 
-    #[test]
-    fn repro_generate_then_check_round_trips() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_repro_test_{}", std::process::id()));
+    /// Run a suite command line (`repro …`, `churn …`, `queueing …`)
+    /// through the driver.
+    fn suite_cmd(cmd: &str) -> Result<(), String> {
+        let a = args(cmd);
+        suite(a.command.as_deref().expect("suite name"), &a)
+    }
+
+    /// A replication that keeps each suite's test fast yet clears every
+    /// gate threshold with margin (the self-check is exact).
+    fn fast_opts(name: &str) -> &'static str {
+        match name {
+            "repro" => "--runs 16",
+            "churn" => "--runs 8 --threads 2",
+            "queueing" => "--runs 6 --threads 2",
+            other => panic!("unknown suite {other}"),
+        }
+    }
+
+    fn suite_dir(test: &str, name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("paba_cli_{name}_{test}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_repro.json");
-        let fresh = dir.join("BENCH_repro_fresh.json");
-        // Reduced replication keeps this test fast; 16 runs still clears
-        // every gate threshold with margin, and the self-check is exact.
-        let gen = args(&format!(
-            "repro --quick --runs 16 --out {}",
-            golden.display()
-        ));
-        repro(&gen).unwrap();
+        dir
+    }
+
+    /// Generate a suite's artifact, then `--check` a fresh run against it.
+    fn assert_generate_then_check_round_trips(name: &str) {
+        let opts = fast_opts(name);
+        let dir = suite_dir("round_trip", name);
+        let golden = dir.join(format!("BENCH_{name}.json"));
+        let fresh = dir.join(format!("BENCH_{name}_fresh.json"));
+        suite_cmd(&format!("{name} --quick {opts} --out {}", golden.display())).unwrap();
         let json = std::fs::read_to_string(&golden).unwrap();
-        assert!(json.contains("\"schema\": \"paba-repro/1\""));
-        let chk = args(&format!(
-            "repro --quick --runs 16 --check --golden {} --out {}",
+        assert!(json.contains(&format!("\"schema\": \"paba-{name}/1\"")));
+        suite_cmd(&format!(
+            "{name} --quick {opts} --check --golden {} --out {}",
             golden.display(),
             fresh.display()
-        ));
-        repro(&chk).unwrap();
-        assert!(fresh.exists(), "--check must write the fresh artifact");
-        std::fs::remove_file(&golden).ok();
-        std::fs::remove_file(&fresh).ok();
+        ))
+        .unwrap();
+        assert!(
+            fresh.exists(),
+            "{name}: --check must write the fresh artifact"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `--golden` and `--out` spelling the same file must be refused
+    /// before the suite runs or touches the golden.
+    fn assert_check_refuses_aliased_golden_out_paths(name: &str) {
+        let dir = suite_dir("alias", name);
+        let golden = dir.join(format!("BENCH_{name}.json"));
+        std::fs::write(&golden, "{}").unwrap();
+        // Same file, different spelling (an extra `./` component): the
+        // overwrite guard must see through it and refuse before running.
+        let aliased = dir.join(".").join(format!("BENCH_{name}.json"));
+        let err = suite_cmd(&format!(
+            "{name} --quick --runs 2 --check --golden {} --out {}",
+            golden.display(),
+            aliased.display()
+        ))
+        .unwrap_err();
+        assert!(err.contains("refuses to overwrite"), "{name}: {err}");
+        // The refusal must happen before anything touched the golden.
+        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn assert_golden_without_check_is_an_error(name: &str) {
+        let err = suite_cmd(&format!(
+            "{name} --quick --runs 2 --golden /tmp/whatever.json --out none"
+        ))
+        .unwrap_err();
+        assert!(err.contains("--check"), "{name}: {err}");
+    }
+
+    /// The suite's golden loader is handed a structurally valid artifact
+    /// of `other`'s schema and must name both schemas.
+    fn assert_check_rejects_wrong_schema_golden(name: &str, other: &str) {
+        let dir = suite_dir("schema", name);
+        let golden = dir.join(format!("BENCH_{other}.json"));
+        let foreign = paba_repro::Artifact {
+            schema: format!("paba-{other}/1"),
+            seed: paba_util::envcfg::DEFAULT_SEED,
+            scale: "quick".into(),
+            gates: Vec::new(),
+            metrics: Vec::new(),
+        };
+        foreign.write(&golden).unwrap();
+        let err = suite_cmd(&format!(
+            "{name} --quick --runs 2 --check --golden {} --out none",
+            golden.display()
+        ))
+        .unwrap_err();
+        assert!(err.contains(&format!("paba-{name}/1")), "{err}");
+        assert!(err.contains(&format!("paba-{other}/1")), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repro_generate_then_check_round_trips() {
+        assert_generate_then_check_round_trips("repro");
+    }
+
+    #[test]
+    fn churn_generate_then_check_round_trips() {
+        assert_generate_then_check_round_trips("churn");
+    }
+
+    #[test]
+    fn queueing_generate_then_check_round_trips() {
+        assert_generate_then_check_round_trips("queueing");
+    }
+
+    #[test]
+    fn repro_check_refuses_aliased_golden_out_paths() {
+        assert_check_refuses_aliased_golden_out_paths("repro");
+    }
+
+    #[test]
+    fn churn_check_refuses_aliased_golden_out_paths() {
+        assert_check_refuses_aliased_golden_out_paths("churn");
+    }
+
+    #[test]
+    fn queueing_check_refuses_aliased_golden_out_paths() {
+        assert_check_refuses_aliased_golden_out_paths("queueing");
+    }
+
+    #[test]
+    fn repro_golden_without_check_is_an_error() {
+        assert_golden_without_check_is_an_error("repro");
+    }
+
+    #[test]
+    fn churn_golden_without_check_is_an_error() {
+        assert_golden_without_check_is_an_error("churn");
+    }
+
+    #[test]
+    fn queueing_golden_without_check_is_an_error() {
+        assert_golden_without_check_is_an_error("queueing");
+    }
+
+    #[test]
+    fn repro_check_rejects_wrong_schema_golden() {
+        assert_check_rejects_wrong_schema_golden("repro", "queueing");
+    }
+
+    #[test]
+    fn churn_check_rejects_wrong_schema_golden() {
+        assert_check_rejects_wrong_schema_golden("churn", "repro");
+    }
+
+    #[test]
+    fn queueing_check_rejects_wrong_schema_golden() {
+        assert_check_rejects_wrong_schema_golden("queueing", "churn");
     }
 
     #[test]
@@ -2183,10 +2031,10 @@ mod tests {
             std::env::temp_dir().join(format!("paba_cli_repro_doctored_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let golden = dir.join("BENCH_repro.json");
-        repro(&args(&format!(
+        suite_cmd(&format!(
             "repro --quick --runs 16 --out {}",
             golden.display()
-        )))
+        ))
         .unwrap();
         // Corrupt one deterministic-looking metric far beyond noise.
         let doctored = std::fs::read_to_string(&golden).unwrap().replacen(
@@ -2195,10 +2043,10 @@ mod tests {
             1,
         );
         std::fs::write(&golden, doctored).unwrap();
-        let err = repro(&args(&format!(
+        let err = suite_cmd(&format!(
             "repro --quick --runs 16 --check --golden {} --out none",
             golden.display()
-        )))
+        ))
         .unwrap_err();
         assert!(err.contains("regression"), "{err}");
         std::fs::remove_file(&golden).ok();
@@ -2206,215 +2054,84 @@ mod tests {
 
     #[test]
     fn repro_rejects_unknown_options() {
-        let a = args("repro --sacle quick");
-        assert!(repro(&a).unwrap_err().contains("sacle"));
+        assert!(suite_cmd("repro --sacle quick")
+            .unwrap_err()
+            .contains("sacle"));
+        // Threads and the live endpoint belong to churn and queueing only.
+        assert!(suite_cmd("repro --quick --threads 2")
+            .unwrap_err()
+            .contains("threads"));
+        assert!(suite_cmd("repro --quick --serve-metrics 127.0.0.1:0")
+            .unwrap_err()
+            .contains("serve-metrics"));
     }
 
     #[test]
-    fn repro_check_refuses_aliased_golden_out_paths() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_repro_alias_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_repro.json");
-        std::fs::write(&golden, "{}").unwrap();
-        // Same file, different spelling (an extra `./` component): the
-        // overwrite guard must see through it and refuse before running.
-        let aliased = dir.join(".").join("BENCH_repro.json");
-        let a = args(&format!(
-            "repro --quick --runs 2 --check --golden {} --out {}",
-            golden.display(),
-            aliased.display()
-        ));
-        let err = repro(&a).unwrap_err();
-        assert!(err.contains("refuses to overwrite"), "{err}");
-        // The refusal must happen before anything touched the golden.
-        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
-        std::fs::remove_file(&golden).ok();
-    }
-
-    #[test]
-    fn repro_golden_without_check_is_an_error() {
-        let a = args("repro --quick --runs 2 --golden /tmp/whatever.json --out none");
-        let err = repro(&a).unwrap_err();
-        assert!(err.contains("--check"), "{err}");
-    }
-
-    #[test]
-    fn churn_generate_then_check_round_trips() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_churn_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_churn.json");
-        let fresh = dir.join("BENCH_churn_fresh.json");
-        let gen = args(&format!(
-            "churn --quick --runs 8 --threads 2 --out {}",
-            golden.display()
-        ));
-        churn(&gen).unwrap();
-        let json = std::fs::read_to_string(&golden).unwrap();
-        assert!(json.contains("\"schema\": \"paba-churn/1\""));
-        let chk = args(&format!(
-            "churn --quick --runs 8 --threads 2 --check --golden {} --out {}",
-            golden.display(),
-            fresh.display()
-        ));
-        churn(&chk).unwrap();
-        assert!(fresh.exists(), "--check must write the fresh artifact");
-        std::fs::remove_file(&golden).ok();
-        std::fs::remove_file(&fresh).ok();
-    }
-
-    #[test]
-    fn churn_check_rejects_wrong_schema_golden() {
-        // A repro artifact is structurally valid JSON but the wrong
-        // schema; the churn golden loader must name both schemas.
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_churn_schema_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_repro.json");
-        repro(&args(&format!(
-            "repro --quick --runs 16 --out {}",
-            golden.display()
-        )))
-        .unwrap();
-        let err = churn(&args(&format!(
-            "churn --quick --runs 2 --check --golden {} --out none",
-            golden.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("paba-churn/1"), "{err}");
-        assert!(err.contains("paba-repro/1"), "{err}");
-        std::fs::remove_file(&golden).ok();
-    }
-
-    #[test]
-    fn churn_check_refuses_aliased_golden_out_paths() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_churn_alias_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_churn.json");
-        std::fs::write(&golden, "{}").unwrap();
-        let aliased = dir.join(".").join("BENCH_churn.json");
-        let a = args(&format!(
-            "churn --quick --runs 2 --check --golden {} --out {}",
-            golden.display(),
-            aliased.display()
-        ));
-        let err = churn(&a).unwrap_err();
-        assert!(err.contains("refuses to overwrite"), "{err}");
-        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
-        std::fs::remove_file(&golden).ok();
+    fn suite_rejects_invalid_regimes() {
+        // Each override resolves to a regime the engines cannot run; it
+        // must come back as an error naming the flag, before the golden
+        // is read, never as a worker panic.
+        for (cmd, flag) in [
+            ("churn --side 0", "--side"),
+            ("churn --side 1", "--side"),
+            ("churn --files 0", "--files"),
+            ("churn --cache 0", "--cache"),
+            ("churn --gamma -1", "--gamma"),
+            ("churn --gamma nan", "--gamma"),
+            ("queueing --side 0", "--side"),
+            ("queueing --side 4294967295", "--side"),
+            ("queueing --files 0", "--files"),
+            ("queueing --horizon 10", "--horizon"),
+            ("queueing --horizon nan", "--horizon"),
+            ("queueing --gamma inf", "--gamma"),
+        ] {
+            let err = suite_cmd(&format!(
+                "{cmd} --quick --runs 2 --check --golden /nonexistent/BENCH.json --out none"
+            ))
+            .unwrap_err();
+            assert!(err.contains(flag), "{cmd}: {err}");
+        }
     }
 
     #[test]
     fn churn_rejects_bad_options() {
-        assert!(churn(&args("churn --sacle quick"))
+        assert!(suite_cmd("churn --sacle quick")
             .unwrap_err()
             .contains("sacle"));
+        assert!(suite_cmd("churn --quick --repair best-effort --out none")
+            .unwrap_err()
+            .contains("--repair"));
+        assert!(suite_cmd("churn --quick --cycle-fraction 1.5 --out none")
+            .unwrap_err()
+            .contains("cycle-fraction"));
         assert!(
-            churn(&args("churn --quick --repair best-effort --out none"))
+            suite_cmd("churn --quick --runs 2 --golden /tmp/g.json --out none")
                 .unwrap_err()
-                .contains("--repair")
+                .contains("--check")
         );
-        assert!(
-            churn(&args("churn --quick --cycle-fraction 1.5 --out none"))
-                .unwrap_err()
-                .contains("cycle-fraction")
-        );
-        assert!(churn(&args(
-            "churn --quick --runs 2 --golden /tmp/g.json --out none"
-        ))
-        .unwrap_err()
-        .contains("--check"));
-    }
-
-    #[test]
-    fn queueing_generate_then_check_round_trips() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_queueing_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_queueing.json");
-        let fresh = dir.join("BENCH_queueing_fresh.json");
-        let gen = args(&format!(
-            "queueing --quick --runs 6 --threads 2 --out {}",
-            golden.display()
-        ));
-        queueing(&gen).unwrap();
-        let json = std::fs::read_to_string(&golden).unwrap();
-        assert!(json.contains("\"schema\": \"paba-queueing/1\""));
-        let chk = args(&format!(
-            "queueing --quick --runs 6 --threads 2 --check --golden {} --out {}",
-            golden.display(),
-            fresh.display()
-        ));
-        queueing(&chk).unwrap();
-        assert!(fresh.exists(), "--check must write the fresh artifact");
-        std::fs::remove_file(&golden).ok();
-        std::fs::remove_file(&fresh).ok();
-    }
-
-    #[test]
-    fn queueing_check_rejects_wrong_schema_golden() {
-        // A churn artifact is structurally valid JSON but the wrong
-        // schema; the queueing golden loader must name both schemas.
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_queueing_schema_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_churn.json");
-        churn(&args(&format!(
-            "churn --quick --runs 8 --threads 2 --out {}",
-            golden.display()
-        )))
-        .unwrap();
-        let err = queueing(&args(&format!(
-            "queueing --quick --runs 2 --check --golden {} --out none",
-            golden.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("paba-queueing/1"), "{err}");
-        assert!(err.contains("paba-churn/1"), "{err}");
-        std::fs::remove_file(&golden).ok();
-    }
-
-    #[test]
-    fn queueing_check_refuses_aliased_golden_out_paths() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_queueing_alias_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_queueing.json");
-        std::fs::write(&golden, "{}").unwrap();
-        let aliased = dir.join(".").join("BENCH_queueing.json");
-        let a = args(&format!(
-            "queueing --quick --runs 2 --check --golden {} --out {}",
-            golden.display(),
-            aliased.display()
-        ));
-        let err = queueing(&a).unwrap_err();
-        assert!(err.contains("refuses to overwrite"), "{err}");
-        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
-        std::fs::remove_file(&golden).ok();
     }
 
     #[test]
     fn queueing_rejects_bad_options() {
-        assert!(queueing(&args("queueing --sacle quick"))
+        assert!(suite_cmd("queueing --sacle quick")
             .unwrap_err()
             .contains("sacle"));
-        assert!(queueing(&args("queueing --quick --lambda 1.2 --out none"))
+        assert!(suite_cmd("queueing --quick --lambda 1.2 --out none")
             .unwrap_err()
             .contains("lambda"));
-        assert!(queueing(&args(
-            "queueing --quick --warmup 500 --horizon 100 --out none"
-        ))
-        .unwrap_err()
-        .contains("warmup"));
         assert!(
-            queueing(&args("queueing --quick --stale-period 0 --out none"))
+            suite_cmd("queueing --quick --warmup 500 --horizon 100 --out none")
                 .unwrap_err()
-                .contains("stale-period")
+                .contains("warmup")
         );
-        assert!(queueing(&args(
-            "queueing --quick --runs 2 --golden /tmp/g.json --out none"
-        ))
-        .unwrap_err()
-        .contains("--check"));
+        assert!(suite_cmd("queueing --quick --stale-period 0 --out none")
+            .unwrap_err()
+            .contains("stale-period"));
+        assert!(
+            suite_cmd("queueing --quick --runs 2 --golden /tmp/g.json --out none")
+                .unwrap_err()
+                .contains("--check")
+        );
     }
 
     #[test]
@@ -2615,10 +2332,10 @@ mod tests {
             tp.display()
         )))
         .unwrap();
-        repro(&args(&format!(
+        suite_cmd(&format!(
             "repro --quick --runs 16 --out {}",
             dir.join("BENCH_repro.json").display()
-        )))
+        ))
         .unwrap();
         let out = dir.join("REPORT.md");
         report(&args(&format!(

@@ -51,9 +51,7 @@ fn main() {
         Some("workload") => commands::workload(&parsed),
         Some("throughput") => commands::throughput(&parsed),
         Some("profile") => commands::profile(&parsed),
-        Some("repro") => commands::repro(&parsed),
-        Some("churn") => commands::churn(&parsed),
-        Some("queueing") => commands::queueing(&parsed),
+        Some(name @ ("repro" | "churn" | "queueing")) => commands::suite(name, &parsed),
         Some("report") => commands::report(&parsed),
         Some("help") | None => {
             commands::print_help();

@@ -11,9 +11,10 @@
 //! 2. per-run outputs are collected *by run index* and folded
 //!    sequentially, so floating-point accumulation order is fixed.
 //!
-//! Work is distributed by an atomic work-stealing counter over
-//! `std::thread::scope` scoped threads (no executor dependency, no
-//! unsafety).
+//! Work is distributed in fixed strides (thread `t` runs `t, t + T, …`)
+//! over `std::thread::scope` scoped threads (no executor dependency, no
+//! unsafety) by one runner, [`run_parallel_with_state`]; the other
+//! entry points are thin wrappers over it.
 //!
 //! ```
 //! use paba_mcrunner::run_parallel;

@@ -39,90 +39,29 @@ where
     O: Send,
     F: Fn(usize, &mut SmallRng) -> O + Sync,
 {
-    if runs == 0 {
-        return Vec::new();
-    }
-    let n_threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(runs);
-
-    if n_threads == 1 {
-        // Fast single-threaded path (also keeps tests easy to reason about).
-        let mut out = Vec::with_capacity(runs);
-        for i in 0..runs {
-            let mut rng = SmallRng::seed_from_u64(split_seed(master_seed, i as u64));
-            out.push(run_fn(i, &mut rng));
-            if let Some(p) = progress {
-                p.tick();
-            }
-        }
-        return out;
-    }
-
-    // Lock-free collection: thread `t` owns the strided index set
-    // {t, t + T, t + 2T, …} and appends into its private output vector, so
-    // workers never contend on a shared lock. Striding (rather than
-    // contiguous chunks) keeps the load balanced when run costs vary
-    // systematically with the index, as in flattened sweep grids. Results
-    // are interleaved back into run order afterwards; determinism is
-    // untouched because each run's RNG depends only on
-    // `(master_seed, run_index)`.
-    let per_thread: Vec<Vec<O>> = std::thread::scope(|scope| {
-        let run_fn = &run_fn;
-        let handles: Vec<_> = (0..n_threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut local: Vec<O> = Vec::with_capacity(runs.div_ceil(n_threads));
-                    let mut i = t;
-                    while i < runs {
-                        let mut rng = SmallRng::seed_from_u64(split_seed(master_seed, i as u64));
-                        local.push(run_fn(i, &mut rng));
-                        if let Some(p) = progress {
-                            p.tick();
-                        }
-                        i += n_threads;
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| panic!("a Monte-Carlo worker panicked"))
-            })
-            .collect()
-    });
-
-    let mut iters: Vec<std::vec::IntoIter<O>> =
-        per_thread.into_iter().map(Vec::into_iter).collect();
-    (0..runs)
-        .map(|i| {
-            iters[i % n_threads]
-                .next()
-                .unwrap_or_else(|| panic!("run {i} produced no output"))
-        })
-        .collect()
+    run_parallel_with_state(
+        runs,
+        master_seed,
+        threads,
+        progress,
+        || (),
+        |&(), i, rng| run_fn(i, rng),
+    )
+    .0
 }
 
 /// [`run_parallel_with_progress`] variant giving each worker thread its
 /// own state built by `init` — e.g. a telemetry recorder — returned
-/// alongside the outputs for post-join merging.
+/// alongside the outputs for post-join merging. Every other runner in
+/// this crate is built on this one.
 ///
 /// Returns `(outputs, states)`: outputs in **run-index order** (exactly as
 /// [`run_parallel`]), states one per effective worker thread in thread
 /// order (a single state on the single-threaded path). Determinism of the
-/// outputs is untouched — each run's RNG still depends only on
-/// `(master_seed, run_index)` and the strided ownership pattern is reused
-/// verbatim; the state is for side-channel accumulation whose merge must
-/// be order-insensitive (which thread ran which runs *does* vary with the
-/// thread count).
+/// outputs is untouched — each run's RNG depends only on
+/// `(master_seed, run_index)`; the state is for side-channel accumulation
+/// whose merge must be order-insensitive (which thread ran which runs
+/// *does* vary with the thread count).
 pub fn run_parallel_with_state<O, S, I, F>(
     runs: usize,
     master_seed: u64,
@@ -162,8 +101,14 @@ where
         return (out, vec![state]);
     }
 
-    // Same strided lock-free pattern as run_parallel_with_progress, with
-    // each worker owning one state for its whole stride.
+    // Lock-free collection: thread `t` owns the strided index set
+    // {t, t + T, t + 2T, …} and its state, and appends into its private
+    // output vector, so workers never contend on a shared lock. Striding
+    // (rather than contiguous chunks) keeps the load balanced when run
+    // costs vary systematically with the index, as in flattened sweep
+    // grids. Results are interleaved back into run order afterwards;
+    // determinism is untouched because each run's RNG depends only on
+    // `(master_seed, run_index)`.
     let results: Vec<(Vec<O>, S)> = std::thread::scope(|scope| {
         let run_fn = &run_fn;
         let init = &init;

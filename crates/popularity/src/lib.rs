@@ -10,21 +10,16 @@
 //!
 //! * [`Popularity`] — the profile itself (Uniform / Zipf / custom weights).
 //! * [`AliasTable`] — Walker–Vose alias sampling: O(K) build, O(1) draw.
-//! * [`CdfSampler`] — inverse-CDF sampling via binary search (O(log K)
-//!   draw); used to cross-validate the alias table and where build cost
-//!   dominates.
 //! * [`FileSampler`] — profile-aware dispatcher picking the cheapest exact
 //!   sampler (direct uniform draw / alias table).
 //! * [`empirical`] — frequency counting and χ² statistics for tests.
 
 pub mod alias;
-pub mod cdf;
 pub mod empirical;
 pub mod profile;
 pub mod sampler;
 
 pub use alias::AliasTable;
-pub use cdf::CdfSampler;
 pub use profile::Popularity;
 pub use sampler::FileSampler;
 

@@ -219,11 +219,6 @@ impl Artifact {
         std::fs::write(path, self.to_json()).map_err(|e| format!("writing {}: {e}", path.display()))
     }
 
-    /// Load and parse from `path`, requiring the `paba-repro/1` schema.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
-        Self::load_expecting(path, SCHEMA)
-    }
-
     /// Load and parse from `path`, validating against `expected`.
     pub fn load_expecting(path: &std::path::Path, expected: &str) -> Result<Self, String> {
         let src = std::fs::read_to_string(path)

@@ -19,7 +19,7 @@
 
 use crate::artifact::{Gate, Metric};
 use crate::experiments::Z_NONINF;
-use crate::ReproConfig;
+use crate::{check_network, ReproConfig};
 use paba_churn::{simulate_churn, ChurnCfg, ChurnSchedule, RepairPolicy, ScheduleSpec};
 use paba_core::{simulate_source, CacheNetwork, IidUniform, ProximityChoice, UncachedPolicy};
 use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
@@ -93,8 +93,9 @@ pub struct ChurnParams {
     pub replication: Option<u32>,
 }
 
-/// One churn-experiment parameterization.
-struct Regime {
+/// One churn-experiment parameterization: the scale default with the
+/// [`ChurnParams`] overrides applied, validated.
+pub(crate) struct Regime {
     side: u32,
     k: u32,
     m: u32,
@@ -106,27 +107,42 @@ struct Regime {
     spec: ScheduleSpec,
 }
 
-fn regime(scale: Scale, p: &ChurnParams) -> Regime {
-    let (side, k, m, radius, inserts) = match scale {
-        Scale::Quick => (12, 60, 6, 4, 16),
-        Scale::Default => (20, 200, 8, 5, 40),
-        Scale::Full => (28, 400, 10, 6, 80),
-    };
-    let defaults = ChurnCfg::default();
-    Regime {
-        side: p.side.unwrap_or(side),
-        k: p.files.unwrap_or(k),
-        m: p.cache.unwrap_or(m),
-        gamma: p.gamma.unwrap_or(0.8),
-        radius: p.radius.unwrap_or(radius),
-        repair: p.repair.unwrap_or(RepairPolicy::TwoChoices),
-        retry_budget: p.retry_budget.unwrap_or(defaults.retry_budget),
-        replication: p.replication.unwrap_or(defaults.replication),
-        spec: ScheduleSpec {
-            cycle_fraction: p.cycle_fraction.unwrap_or(0.2),
-            graceful_fraction: p.graceful_fraction.unwrap_or(0.5),
-            inserts: p.inserts.unwrap_or(inserts),
-        },
+impl Regime {
+    /// Resolve `p` over the `scale` defaults and reject a regime the
+    /// engines cannot run. Errors name the CLI flag of the bad value.
+    pub(crate) fn resolve(scale: Scale, p: &ChurnParams) -> Result<Self, String> {
+        let (side, k, m, radius, inserts) = match scale {
+            Scale::Quick => (12, 60, 6, 4, 16),
+            Scale::Default => (20, 200, 8, 5, 40),
+            Scale::Full => (28, 400, 10, 6, 80),
+        };
+        let defaults = ChurnCfg::default();
+        let r = Regime {
+            side: p.side.unwrap_or(side),
+            k: p.files.unwrap_or(k),
+            m: p.cache.unwrap_or(m),
+            gamma: p.gamma.unwrap_or(0.8),
+            radius: p.radius.unwrap_or(radius),
+            repair: p.repair.unwrap_or(RepairPolicy::TwoChoices),
+            retry_budget: p.retry_budget.unwrap_or(defaults.retry_budget),
+            replication: p.replication.unwrap_or(defaults.replication),
+            spec: ScheduleSpec {
+                cycle_fraction: p.cycle_fraction.unwrap_or(0.2),
+                graceful_fraction: p.graceful_fraction.unwrap_or(0.5),
+                inserts: p.inserts.unwrap_or(inserts),
+            },
+        };
+        // A schedule cycles at least one node and keeps at least one up.
+        check_network(r.side, 2, r.k, r.m, r.gamma)?;
+        for (flag, v) in [
+            ("cycle-fraction", r.spec.cycle_fraction),
+            ("graceful-fraction", r.spec.graceful_fraction),
+        ] {
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("--{flag}: expected a fraction in [0, 1], got {v}"));
+            }
+        }
+        Ok(r)
     }
 }
 
@@ -252,39 +268,26 @@ fn run_one<R: Recorder>(regime: &Regime, rng: &mut SmallRng, rec: &R) -> [f64; N
     out
 }
 
-/// Monte-Carlo run count the suite will execute for `cfg` (for sizing
-/// progress trackers before the run starts).
-pub fn planned_runs(cfg: &ReproConfig) -> usize {
-    cfg.runs(10, 24, 48)
-}
-
-/// The churn experiment at the scale-default regime.
-pub fn churn(cfg: &ReproConfig, gates: &mut Vec<Gate>, metrics: &mut Vec<Metric>) {
-    churn_with(cfg, &ChurnParams::default(), None, gates, metrics);
-}
-
-/// The churn experiment: metrics + the five robustness gates. `params`
-/// overrides the scale-default regime; `live` (the `--serve-metrics`
-/// path) shares one recorder across every worker so a concurrent scrape
-/// sees churn events, retries, and repair migrations as they happen —
-/// the recorder never touches the RNG stream, so results are identical
-/// with or without it.
-pub fn churn_with(
+/// The churn experiment over `runs` seeded networks: metrics + the five
+/// robustness gates. `live` (the `--serve-metrics` path) shares one
+/// recorder across every worker so a concurrent scrape sees churn events,
+/// retries, and repair migrations as they happen — the recorder never
+/// touches the RNG stream, so results are identical with or without it.
+pub(crate) fn run(
     cfg: &ReproConfig,
-    params: &ChurnParams,
+    regime: &Regime,
+    runs: usize,
     live: Option<&LiveRun>,
     gates: &mut Vec<Gate>,
     metrics: &mut Vec<Metric>,
 ) {
-    let regime = regime(cfg.scale, params);
-    let runs = planned_runs(cfg);
     let master = mix_seed(cfg.seed, 0xC4234);
     let rows: Vec<[f64; N_METRICS]> = match live {
         Some(l) => run_parallel_live(runs, master, cfg.threads, l, |rec, _i, rng| {
-            run_one(&regime, rng, rec)
+            run_one(regime, rng, rec)
         }),
         None => run_parallel(runs, master, cfg.threads, |_i, rng: &mut SmallRng| {
-            run_one(&regime, rng, &NullRecorder)
+            run_one(regime, rng, &NullRecorder)
         }),
     };
 

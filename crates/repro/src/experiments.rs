@@ -175,7 +175,7 @@ pub fn growth(cfg: &ReproConfig, gates: &mut Vec<Gate>, metrics: &mut Vec<Metric
         METRIC_NAMES.len(),
         mix_seed(cfg.seed, 0xA11),
         cfg.threads,
-        cfg.verbose,
+        false,
         |&(side, vi), _run, rng, m| {
             let n = side * side;
             let net: CacheNetwork<Torus> = CacheNetwork::builder()
@@ -334,7 +334,7 @@ pub fn tradeoff(cfg: &ReproConfig, gates: &mut Vec<Gate>, metrics: &mut Vec<Metr
         METRIC_NAMES.len(),
         mix_seed(cfg.seed, 0x7AD),
         cfg.threads,
-        cfg.verbose,
+        false,
         |&radius, _run, rng, out| {
             let net: CacheNetwork<Torus> = CacheNetwork::builder()
                 .torus_side(side)

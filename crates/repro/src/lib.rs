@@ -25,6 +25,11 @@
 //! distinguishing RNG-reshuffle *noise* from behavioral *regression*
 //! (see [`artifact::check`]). Every scale/speed PR runs through this
 //! suite in CI.
+//!
+//! The churn-robustness ([`churn_experiments`]) and temporal queueing
+//! ([`queueing_experiments`]) suites emit the same gates+metrics layout
+//! under their own schemas. [`Suite::run`] is the one entry point for
+//! all three.
 
 pub mod artifact;
 pub mod churn_experiments;
@@ -33,9 +38,11 @@ pub mod json;
 pub mod queueing_experiments;
 
 pub use artifact::{check, Artifact, CheckReport, Gate, Metric, DEFAULT_CHECK_Z, SCHEMA};
-
+use churn_experiments::ChurnParams;
+use paba_mcrunner::LiveRun;
 use paba_util::envcfg::Scale;
 use paba_util::Table;
+use queueing_experiments::QueueingParams;
 
 /// Configuration of one suite run.
 #[derive(Clone, Copy, Debug)]
@@ -48,8 +55,6 @@ pub struct ReproConfig {
     pub runs_override: Option<usize>,
     /// Worker threads (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// Emit sweep progress on stderr.
-    pub verbose: bool,
 }
 
 impl ReproConfig {
@@ -60,7 +65,6 @@ impl ReproConfig {
             seed: paba_util::envcfg::DEFAULT_SEED,
             runs_override: None,
             threads: None,
-            verbose: false,
         }
     }
 
@@ -74,70 +78,115 @@ impl ReproConfig {
     }
 }
 
-/// Run the full suite and assemble the artifact.
-pub fn run_suite(cfg: &ReproConfig) -> Artifact {
-    let mut gates = Vec::new();
-    let mut metrics = Vec::new();
-    experiments::growth(cfg, &mut gates, &mut metrics);
-    experiments::tradeoff(cfg, &mut gates, &mut metrics);
-    experiments::goodness(cfg, &mut gates, &mut metrics);
-    Artifact {
-        schema: SCHEMA.into(),
-        seed: cfg.seed,
-        scale: artifact::scale_label(cfg.scale).into(),
-        gates,
-        metrics,
+/// One gated suite, with its regime overrides. Every suite emits the same
+/// gates+metrics [`Artifact`] layout under its own schema, so the CLI
+/// runs all three through one driver.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Suite {
+    /// The theorem-gated reproduction suite (`BENCH_repro.json`): growth
+    /// separation, radius trade-off and Lemma 2 goodness.
+    Repro,
+    /// The churn-robustness suite (`BENCH_churn.json`).
+    Churn(ChurnParams),
+    /// The temporal queueing suite (`BENCH_queueing.json`).
+    Queueing(QueueingParams),
+}
+
+impl Suite {
+    /// Subcommand and artifact stem: `repro`, `churn` or `queueing`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Suite::Repro => "repro",
+            Suite::Churn(_) => "churn",
+            Suite::Queueing(_) => "queueing",
+        }
+    }
+
+    /// Schema id of the suite's artifact.
+    pub fn schema(&self) -> &'static str {
+        match self {
+            Suite::Repro => paba_util::schema::REPRO,
+            Suite::Churn(_) => paba_util::schema::CHURN,
+            Suite::Queueing(_) => paba_util::schema::QUEUEING,
+        }
+    }
+
+    /// Monte-Carlo runs that [`Suite::run`] ticks on a live handle's
+    /// progress tracker (for sizing [`LiveRun::new`]). The repro sweeps
+    /// track their own progress and tick none, so it is 0 there.
+    pub fn planned_runs(&self, cfg: &ReproConfig) -> usize {
+        match self {
+            Suite::Repro => 0,
+            Suite::Churn(_) | Suite::Queueing(_) => cfg.runs(10, 24, 48),
+        }
+    }
+
+    /// Reject overrides whose resolved regime (the `scale` default plus
+    /// the overrides) the engines cannot run, without running anything.
+    /// [`Suite::run`] applies the same check.
+    pub fn validate(&self, scale: Scale) -> Result<(), String> {
+        match self {
+            Suite::Repro => Ok(()),
+            Suite::Churn(p) => churn_experiments::Regime::resolve(scale, p).map(drop),
+            Suite::Queueing(p) => queueing_experiments::Regime::resolve(scale, p).map(drop),
+        }
+    }
+
+    /// Run the suite and assemble its artifact. `live` (the
+    /// `--serve-metrics` path) is fed by the churn and queueing runs; it
+    /// never touches the RNG stream, so the artifact is identical with or
+    /// without it.
+    pub fn run(&self, cfg: &ReproConfig, live: Option<&LiveRun>) -> Result<Artifact, String> {
+        let runs = self.planned_runs(cfg);
+        let mut gates = Vec::new();
+        let mut metrics = Vec::new();
+        match self {
+            Suite::Repro => {
+                experiments::growth(cfg, &mut gates, &mut metrics);
+                experiments::tradeoff(cfg, &mut gates, &mut metrics);
+                experiments::goodness(cfg, &mut gates, &mut metrics);
+            }
+            Suite::Churn(p) => {
+                let regime = churn_experiments::Regime::resolve(cfg.scale, p)?;
+                churn_experiments::run(cfg, &regime, runs, live, &mut gates, &mut metrics);
+            }
+            Suite::Queueing(p) => {
+                let regime = queueing_experiments::Regime::resolve(cfg.scale, p)?;
+                queueing_experiments::run(cfg, &regime, runs, live, &mut gates, &mut metrics);
+            }
+        }
+        Ok(Artifact {
+            schema: self.schema().into(),
+            seed: cfg.seed,
+            scale: artifact::scale_label(cfg.scale).into(),
+            gates,
+            metrics,
+        })
     }
 }
 
-/// Run the churn-robustness suite and assemble its artifact
-/// (`BENCH_churn.json`, schema `paba-churn/1`).
-pub fn run_churn_suite(cfg: &ReproConfig) -> Artifact {
-    run_churn_suite_with(cfg, &churn_experiments::ChurnParams::default(), None)
-}
-
-/// [`run_churn_suite`] with regime overrides and an optional live
-/// observability handle (see [`churn_experiments::churn_with`]).
-pub fn run_churn_suite_with(
-    cfg: &ReproConfig,
-    params: &churn_experiments::ChurnParams,
-    live: Option<&paba_mcrunner::LiveRun>,
-) -> Artifact {
-    let mut gates = Vec::new();
-    let mut metrics = Vec::new();
-    churn_experiments::churn_with(cfg, params, live, &mut gates, &mut metrics);
-    Artifact {
-        schema: paba_util::schema::CHURN.into(),
-        seed: cfg.seed,
-        scale: artifact::scale_label(cfg.scale).into(),
-        gates,
-        metrics,
+/// Reject a network regime the cache-network builder cannot realise:
+/// a torus side outside `min_side..=Torus::MAX_SIDE`, an empty library or
+/// cache, or a Zipf exponent that is not finite and non-negative.
+fn check_network(side: u32, min_side: u32, k: u32, m: u32, gamma: f64) -> Result<(), String> {
+    let max_side = paba_topology::Torus::MAX_SIDE;
+    if !(min_side..=max_side).contains(&side) {
+        return Err(format!(
+            "--side must be in {min_side}..={max_side}, got {side}"
+        ));
     }
-}
-
-/// Run the temporal queueing suite and assemble its artifact
-/// (`BENCH_queueing.json`, schema `paba-queueing/1`).
-pub fn run_queueing_suite(cfg: &ReproConfig) -> Artifact {
-    run_queueing_suite_with(cfg, &queueing_experiments::QueueingParams::default(), None)
-}
-
-/// [`run_queueing_suite`] with regime overrides and an optional live
-/// observability handle (see [`queueing_experiments::queueing_with`]).
-pub fn run_queueing_suite_with(
-    cfg: &ReproConfig,
-    params: &queueing_experiments::QueueingParams,
-    live: Option<&paba_mcrunner::LiveRun>,
-) -> Artifact {
-    let mut gates = Vec::new();
-    let mut metrics = Vec::new();
-    queueing_experiments::queueing_with(cfg, params, live, &mut gates, &mut metrics);
-    Artifact {
-        schema: paba_util::schema::QUEUEING.into(),
-        seed: cfg.seed,
-        scale: artifact::scale_label(cfg.scale).into(),
-        gates,
-        metrics,
+    if k == 0 {
+        return Err("--files must be a positive library size".into());
     }
+    if m == 0 {
+        return Err("--cache must be a positive cache size".into());
+    }
+    if !(gamma.is_finite() && gamma >= 0.0) {
+        return Err(format!(
+            "--gamma must be a finite non-negative Zipf exponent, got {gamma}"
+        ));
+    }
+    Ok(())
 }
 
 /// Render the gate results as the standard bench table.
@@ -203,17 +252,29 @@ pub fn check_table(rep: &CheckReport) -> Table {
 mod tests {
     use super::*;
 
+    /// The churn suite at its scale-default regime.
+    fn churn(cfg: &ReproConfig) -> Artifact {
+        Suite::Churn(ChurnParams::default()).run(cfg, None).unwrap()
+    }
+
+    /// The queueing suite at its scale-default regime.
+    fn queueing(cfg: &ReproConfig) -> Artifact {
+        Suite::Queueing(QueueingParams::default())
+            .run(cfg, None)
+            .unwrap()
+    }
+
     /// The quick suite itself, end to end: every gate must pass, the
     /// artifact must round-trip, and a self-check against its own output
     /// must be clean. This is the crate's own tier-1 anchor; CI's
-    /// `repro-smoke` job additionally diffs against the committed golden.
+    /// `suite-smoke` job additionally diffs against the committed golden.
     #[test]
     fn quick_suite_passes_and_round_trips() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         // Trim runs for test wall-clock; gates are designed to clear
         // their thresholds with margin even at reduced replication.
         cfg.runs_override = Some(12);
-        let a = run_suite(&cfg);
+        let a = Suite::Repro.run(&cfg, None).unwrap();
         for g in &a.gates {
             assert!(
                 g.passed,
@@ -247,9 +308,9 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(3);
         cfg.threads = Some(1);
-        let a = run_suite(&cfg);
+        let a = Suite::Repro.run(&cfg, None).unwrap();
         cfg.threads = Some(8);
-        let b = run_suite(&cfg);
+        let b = Suite::Repro.run(&cfg, None).unwrap();
         // JSON form: bitwise-identical output, NaN fields included.
         assert_eq!(a.to_json(), b.to_json());
     }
@@ -258,7 +319,7 @@ mod tests {
     fn quick_churn_suite_passes_and_round_trips() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(8);
-        let a = run_churn_suite(&cfg);
+        let a = churn(&cfg);
         assert_eq!(a.schema, paba_util::schema::CHURN);
         for g in &a.gates {
             assert!(
@@ -279,13 +340,11 @@ mod tests {
         // touches the RNG stream), and the churn counters must flow.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(3);
-        let plain = run_churn_suite(&cfg);
+        let plain = churn(&cfg);
         let live = paba_mcrunner::LiveRun::new(3, false);
-        let observed = run_churn_suite_with(
-            &cfg,
-            &churn_experiments::ChurnParams::default(),
-            Some(&live),
-        );
+        let observed = Suite::Churn(ChurnParams::default())
+            .run(&cfg, Some(&live))
+            .unwrap();
         assert_eq!(plain.metrics, observed.metrics);
         assert_eq!(plain.gates.len(), observed.gates.len());
         for (a, b) in plain.gates.iter().zip(&observed.gates) {
@@ -302,13 +361,13 @@ mod tests {
     fn churn_params_override_changes_the_regime() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
-        let kill_heavy = churn_experiments::ChurnParams {
+        let kill_heavy = ChurnParams {
             graceful_fraction: Some(0.0),
             cycle_fraction: Some(0.3),
             ..Default::default()
         };
-        let a = run_churn_suite_with(&cfg, &kill_heavy, None);
-        let b = run_churn_suite(&cfg);
+        let a = Suite::Churn(kill_heavy).run(&cfg, None).unwrap();
+        let b = churn(&cfg);
         // More crashes, same metric ids — the artifacts stay comparable
         // but the measured behavior differs.
         assert_eq!(
@@ -331,9 +390,9 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(4);
         cfg.threads = Some(1);
-        let a = run_churn_suite(&cfg);
+        let a = churn(&cfg);
         cfg.threads = Some(8);
-        let b = run_churn_suite(&cfg);
+        let b = churn(&cfg);
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -341,7 +400,7 @@ mod tests {
     fn quick_queueing_suite_passes_and_round_trips() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(8);
-        let a = run_queueing_suite(&cfg);
+        let a = queueing(&cfg);
         assert_eq!(a.schema, paba_util::schema::QUEUEING);
         for g in &a.gates {
             assert!(
@@ -364,13 +423,11 @@ mod tests {
         // stream through it, so the artifact must be bit-identical.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
-        let plain = run_queueing_suite(&cfg);
+        let plain = queueing(&cfg);
         let live = paba_mcrunner::LiveRun::new(2, false);
-        let observed = run_queueing_suite_with(
-            &cfg,
-            &queueing_experiments::QueueingParams::default(),
-            Some(&live),
-        );
+        let observed = Suite::Queueing(QueueingParams::default())
+            .run(&cfg, Some(&live))
+            .unwrap();
         assert_eq!(plain.to_json(), observed.to_json());
     }
 
@@ -378,12 +435,12 @@ mod tests {
     fn queueing_params_override_changes_the_regime() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
-        let hotter = queueing_experiments::QueueingParams {
+        let hotter = QueueingParams {
             lambda: Some(0.95),
             ..Default::default()
         };
-        let a = run_queueing_suite_with(&cfg, &hotter, None);
-        let b = run_queueing_suite(&cfg);
+        let a = Suite::Queueing(hotter).run(&cfg, None).unwrap();
+        let b = queueing(&cfg);
         // Same metric ids — the artifacts stay comparable — but the
         // hotter system queues measurably deeper.
         assert_eq!(
@@ -406,9 +463,9 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(4);
         cfg.threads = Some(1);
-        let a = run_queueing_suite(&cfg);
+        let a = queueing(&cfg);
         cfg.threads = Some(8);
-        let b = run_queueing_suite(&cfg);
+        let b = queueing(&cfg);
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -418,9 +475,9 @@ mod tests {
         // different master seed) must pass the statistical diff.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(12);
-        let a = run_suite(&cfg);
+        let a = Suite::Repro.run(&cfg, None).unwrap();
         cfg.seed = cfg.seed.wrapping_add(1);
-        let b = run_suite(&cfg);
+        let b = Suite::Repro.run(&cfg, None).unwrap();
         let rep = check(&b, &a, DEFAULT_CHECK_Z).unwrap();
         assert!(
             rep.ok(),

@@ -26,7 +26,7 @@
 
 use crate::artifact::{Gate, Metric};
 use crate::experiments::Z_NONINF;
-use crate::ReproConfig;
+use crate::{check_network, ReproConfig};
 use paba_core::{CacheNetwork, ProximityChoice, StaleLoad, Strategy};
 use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
 use paba_popularity::Popularity;
@@ -103,8 +103,9 @@ pub struct QueueingParams {
     pub stale_period: Option<u64>,
 }
 
-/// One queueing-experiment parameterization.
-struct Regime {
+/// One queueing-experiment parameterization: the scale default with the
+/// [`QueueingParams`] overrides applied, validated.
+pub(crate) struct Regime {
     side: u32,
     k: u32,
     m: u32,
@@ -116,24 +117,50 @@ struct Regime {
     stale_period: u64,
 }
 
-fn regime(scale: Scale, p: &QueueingParams) -> Regime {
-    let (side, k, m, radius, horizon, warmup) = match scale {
-        Scale::Quick => (6, 24, 4, 3, 3_000.0, 1_000.0),
-        Scale::Default => (10, 80, 6, 4, 6_000.0, 2_000.0),
-        Scale::Full => (16, 160, 8, 5, 10_000.0, 3_000.0),
-    };
-    let side = p.side.unwrap_or(side);
-    let n = side as u64 * side as u64;
-    Regime {
-        side,
-        k: p.files.unwrap_or(k),
-        m: p.cache.unwrap_or(m),
-        gamma: p.gamma.unwrap_or(0.8),
-        radius: p.radius.unwrap_or(radius),
-        lambda: p.lambda.unwrap_or(0.9),
-        horizon: p.horizon.unwrap_or(horizon),
-        warmup: p.warmup.unwrap_or(warmup),
-        stale_period: p.stale_period.unwrap_or(4 * n),
+impl Regime {
+    /// Resolve `p` over the `scale` defaults and reject a regime the
+    /// engine cannot run. Errors name the CLI flag of the bad value.
+    pub(crate) fn resolve(scale: Scale, p: &QueueingParams) -> Result<Self, String> {
+        let (side, k, m, radius, horizon, warmup) = match scale {
+            Scale::Quick => (6, 24, 4, 3, 3_000.0, 1_000.0),
+            Scale::Default => (10, 80, 6, 4, 6_000.0, 2_000.0),
+            Scale::Full => (16, 160, 8, 5, 10_000.0, 3_000.0),
+        };
+        let side = p.side.unwrap_or(side);
+        let n = side as u64 * side as u64;
+        let r = Regime {
+            side,
+            k: p.files.unwrap_or(k),
+            m: p.cache.unwrap_or(m),
+            gamma: p.gamma.unwrap_or(0.8),
+            radius: p.radius.unwrap_or(radius),
+            lambda: p.lambda.unwrap_or(0.9),
+            horizon: p.horizon.unwrap_or(horizon),
+            warmup: p.warmup.unwrap_or(warmup),
+            // Saturating: `side` is only range-checked below.
+            stale_period: p.stale_period.unwrap_or(n.saturating_mul(4)),
+        };
+        check_network(r.side, 1, r.k, r.m, r.gamma)?;
+        if !(r.lambda > 0.0 && r.lambda < 1.0) {
+            return Err(format!("--lambda must be in (0,1), got {}", r.lambda));
+        }
+        if !r.horizon.is_finite() {
+            return Err(format!(
+                "--horizon must be a finite simulated time, got {}",
+                r.horizon
+            ));
+        }
+        if !(0.0..r.horizon).contains(&r.warmup) {
+            return Err(format!(
+                "--warmup must be non-negative and precede --horizon, got warmup {} \
+                 and horizon {}",
+                r.warmup, r.horizon
+            ));
+        }
+        if r.stale_period == 0 {
+            return Err("--stale-period must be a positive dispatch count".into());
+        }
+        Ok(r)
     }
 }
 
@@ -239,38 +266,26 @@ fn run_one(regime: &Regime, rng: &mut SmallRng) -> [f64; N_METRICS] {
     out
 }
 
-/// Monte-Carlo run count the suite will execute for `cfg` (for sizing
-/// progress trackers before the run starts).
-pub fn planned_runs(cfg: &ReproConfig) -> usize {
-    cfg.runs(10, 24, 48)
-}
-
-/// The queueing experiment at the scale-default regime.
-pub fn queueing(cfg: &ReproConfig, gates: &mut Vec<Gate>, metrics: &mut Vec<Metric>) {
-    queueing_with(cfg, &QueueingParams::default(), None, gates, metrics);
-}
-
-/// The queueing experiment: metrics + the six temporal gates. `params`
-/// overrides the scale-default regime; `live` (the `--serve-metrics`
-/// path) exposes run progress to a concurrent scrape — the queueing
-/// engine itself records no counters, so the handle is purely an
-/// observer and results are identical with or without it.
-pub fn queueing_with(
+/// The queueing experiment over `runs` seeded networks: metrics + the
+/// six temporal gates. `live` (the `--serve-metrics` path) exposes run
+/// progress to a concurrent scrape — the queueing engine itself records
+/// no counters, so the handle is purely an observer and results are
+/// identical with or without it.
+pub(crate) fn run(
     cfg: &ReproConfig,
-    params: &QueueingParams,
+    regime: &Regime,
+    runs: usize,
     live: Option<&LiveRun>,
     gates: &mut Vec<Gate>,
     metrics: &mut Vec<Metric>,
 ) {
-    let regime = regime(cfg.scale, params);
-    let runs = planned_runs(cfg);
     let master = mix_seed(cfg.seed, 0x9EE1E);
     let rows: Vec<[f64; N_METRICS]> = match live {
         Some(l) => run_parallel_live(runs, master, cfg.threads, l, |_rec, _i, rng| {
-            run_one(&regime, rng)
+            run_one(regime, rng)
         }),
         None => run_parallel(runs, master, cfg.threads, |_i, rng: &mut SmallRng| {
-            run_one(&regime, rng)
+            run_one(regime, rng)
         }),
     };
 

@@ -14,7 +14,7 @@
 //! * [`CsrGraph`] — compressed-sparse-row adjacency used for the paper's
 //!   *configuration graph* `H` (Definition 4) and for the
 //!   Kenthapadi–Panigrahi balanced-allocation baseline (Theorem 5), plus
-//!   generators for circulant, torus, complete, and random-regular graphs.
+//!   generators for circulant and complete graphs.
 //!
 //! Node identifiers are `u32` throughout (`side ≤ 46340`, i.e. up to ~2·10⁹
 //! nodes — far beyond anything the experiments sweep).
@@ -29,7 +29,7 @@ pub mod torus;
 pub use coords::{wrapped_delta, Coord};
 pub use graph::{CsrGraph, DegreeStats, GraphBuilder};
 pub use grid::Grid;
-pub use regular::{circulant_graph, complete_graph, random_regular_graph, torus_graph};
+pub use regular::{circulant_graph, complete_graph};
 pub use topology::Topology;
 pub use torus::Torus;
 

@@ -1,14 +1,11 @@
-//! Generators for (almost-)regular graphs.
+//! Generators for regular graphs.
 //!
 //! Kenthapadi & Panigrahi's Theorem 5 — the engine behind the paper's
 //! Theorem 4 — concerns balanced allocation on *almost Δ-regular* graphs.
-//! These generators provide exactly-regular instances (circulant, torus,
-//! complete) and configuration-model random regular graphs so the baseline
-//! can be exercised across densities.
+//! These generators provide exactly-regular instances (circulant and
+//! complete) so the baseline can be exercised across densities.
 
 use crate::graph::{CsrGraph, GraphBuilder};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// Circulant graph `C_n(1, 2, …, k)`: node `i` is adjacent to `i ± j (mod
 /// n)` for `j = 1..=k`, giving degree `2k` (for `2k < n`).
@@ -30,22 +27,6 @@ pub fn circulant_graph(n: u32, k: u32) -> CsrGraph {
     b.build()
 }
 
-/// The 4-regular torus lattice graph on `side × side` nodes.
-///
-/// # Panics
-/// If `side < 3` (smaller sides collapse to multi-edges).
-pub fn torus_graph(side: u32) -> CsrGraph {
-    assert!(side >= 3, "torus graph needs side ≥ 3");
-    let t = crate::Torus::new(side);
-    let mut b = GraphBuilder::new(t.n());
-    for v in 0..t.n() {
-        for w in t.neighbors4(v) {
-            b.add_edge(v, w);
-        }
-    }
-    b.build()
-}
-
 /// The complete graph `K_n` — the `r = ∞`, `M = K` limit in which the
 /// paper's Strategy II degenerates to the classic two-choice process.
 pub fn complete_graph(n: u32) -> CsrGraph {
@@ -58,96 +39,9 @@ pub fn complete_graph(n: u32) -> CsrGraph {
     b.build()
 }
 
-/// Random `d`-regular graph via the configuration model with restarts.
-///
-/// Draws a uniformly random perfect matching on `n·d` half-edges and
-/// retries whenever the matching induces a self-loop or parallel edge
-/// (Bollobás' method). For `d = O(1)` the acceptance probability is
-/// `e^{-(d²-1)/4} = Ω(1)`, so a handful of restarts suffice; we cap
-/// restarts and fall back to rejecting only the offending pairs (switching
-/// repairs) to stay robust for larger `d`.
-///
-/// # Panics
-/// If `n·d` is odd, `d ≥ n`, or `n == 0`.
-pub fn random_regular_graph<R: Rng + ?Sized>(n: u32, d: u32, rng: &mut R) -> CsrGraph {
-    assert!(n > 0, "empty graph");
-    assert!(d < n, "degree must be < n");
-    assert!((n as u64 * d as u64).is_multiple_of(2), "n·d must be even");
-    if d == 0 {
-        return GraphBuilder::new(n).build();
-    }
-
-    let stubs_len = (n as usize) * (d as usize);
-    let mut stubs: Vec<u32> = (0..n)
-        .flat_map(|v| std::iter::repeat_n(v, d as usize))
-        .collect();
-    debug_assert_eq!(stubs.len(), stubs_len);
-
-    const MAX_RESTARTS: usize = 200;
-    for _ in 0..MAX_RESTARTS {
-        stubs.shuffle(rng);
-        if let Some(g) = try_matching(n, &stubs) {
-            return g;
-        }
-    }
-    // Deterministic fallback: repair collisions via edge switches. Start
-    // from a shuffled matching and swap stubs until simple.
-    stubs.shuffle(rng);
-    repair_matching(n, stubs, rng)
-}
-
-/// Attempt to realize the stub pairing as a simple graph.
-fn try_matching(n: u32, stubs: &[u32]) -> Option<CsrGraph> {
-    let mut b = GraphBuilder::new(n);
-    for pair in stubs.chunks_exact(2) {
-        let (a, c) = (pair[0], pair[1]);
-        if a == c || !b.add_edge(a, c) {
-            return None;
-        }
-    }
-    Some(b.build())
-}
-
-/// Repair a stub pairing into a simple graph via random switches.
-fn repair_matching<R: Rng + ?Sized>(n: u32, mut stubs: Vec<u32>, rng: &mut R) -> CsrGraph {
-    use paba_util::FxHashSet;
-    let pairs = stubs.len() / 2;
-    let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let key = |a: u32, b: u32| if a < b { (a, b) } else { (b, a) };
-    // Iterate until all pairs are simple; each switch strictly reduces the
-    // number of conflicts in expectation, and conflicts are rare, so this
-    // terminates fast in practice. A generous cap guards pathological input.
-    let mut guard = 0u64;
-    let cap = 1_000_000u64.max(stubs.len() as u64 * 100);
-    loop {
-        seen.clear();
-        let mut conflict = None;
-        for i in 0..pairs {
-            let (a, b) = (stubs[2 * i], stubs[2 * i + 1]);
-            if a == b || !seen.insert(key(a, b)) {
-                conflict = Some(i);
-                break;
-            }
-        }
-        let Some(i) = conflict else { break };
-        // Swap one stub of the conflicting pair with a random stub.
-        let j = rng.gen_range(0..stubs.len());
-        stubs.swap(2 * i + (rng.gen_range(0..2usize)), j);
-        guard += 1;
-        assert!(guard < cap, "regular-graph repair failed to converge");
-    }
-    let mut b = GraphBuilder::new(n);
-    for pair in stubs.chunks_exact(2) {
-        b.add_edge(pair[0], pair[1]);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn circulant_is_regular() {
@@ -169,65 +63,11 @@ mod tests {
     }
 
     #[test]
-    fn torus_graph_is_4_regular_and_connected() {
-        let g = torus_graph(5);
-        for v in 0..g.n() {
-            assert_eq!(g.degree(v), 4);
-        }
-        assert_eq!(g.m(), 2 * 25);
-        assert!(g.is_connected());
-    }
-
-    #[test]
     fn complete_graph_shape() {
         let g = complete_graph(6);
         assert_eq!(g.m(), 15);
         for v in 0..6 {
             assert_eq!(g.degree(v), 5);
         }
-    }
-
-    #[test]
-    fn random_regular_has_exact_degrees() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        for (n, d) in [(10u32, 3u32), (20, 4), (50, 6), (8, 7)] {
-            let g = random_regular_graph(n, d, &mut rng);
-            assert_eq!(g.n(), n);
-            for v in 0..n {
-                assert_eq!(g.degree(v), d, "n={n} d={d} v={v}");
-            }
-            // Simple graph: no self loop possible in CSR; check no dup
-            // neighbors.
-            for v in 0..n {
-                let nb = g.neighbors(v);
-                let mut u = nb.to_vec();
-                u.dedup();
-                assert_eq!(u.len(), nb.len());
-                assert!(!nb.contains(&v));
-            }
-        }
-    }
-
-    #[test]
-    fn random_regular_d0() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let g = random_regular_graph(5, 0, &mut rng);
-        assert_eq!(g.m(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn random_regular_odd_product_panics() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let _ = random_regular_graph(5, 3, &mut rng);
-    }
-
-    #[test]
-    fn random_regular_varies_with_seed() {
-        let g1 = random_regular_graph(30, 4, &mut SmallRng::seed_from_u64(1));
-        let g2 = random_regular_graph(30, 4, &mut SmallRng::seed_from_u64(2));
-        assert_ne!(g1, g2, "different seeds should give different graphs");
-        let g1b = random_regular_graph(30, 4, &mut SmallRng::seed_from_u64(1));
-        assert_eq!(g1, g1b, "same seed must reproduce the same graph");
     }
 }
