@@ -2,17 +2,28 @@
 //! pluggable replica repair.
 //!
 //! [`simulate_churn`] interleaves a [`ChurnSchedule`] with the standard
-//! sequential request loop. Membership changes flow through two
-//! structures kept in lockstep: an `alive` bitmap (who can serve right
-//! now) and a [`HashRing`] restricted to the live nodes (who *should*
-//! hold what — the minimal-disruption directory that drives graceful
-//! handoff and join-time refill). Placement mutations ride
-//! `CacheNetwork::mutate_placement`, so every strategy's sampler and the
-//! conditional cached-file sampler stay consistent mid-churn.
+//! sequential request loop. Membership lives in one `alive` bitmap (who
+//! can serve right now). The [`HashRing`] (who *should* hold what — the
+//! minimal-disruption directory that drives graceful handoff and
+//! join-time refill) is built once for every node and read through that
+//! bitmap, so an event never rebuilds it:
+//!
+//! * leave handoff walks a file's live successors
+//!   ([`HashRing::lookup_replicas_where`]);
+//! * join refill takes the joiner's ring arcs
+//!   ([`HashRing::replica_arcs`]) and reads the files whose keys fall in
+//!   them off a position-sorted file-key index built in
+//!   [`ChurnEngine::new`].
+//!
+//! Each applied event makes at most one
+//! `CacheNetwork::mutate_placement` call, so every strategy's sampler and
+//! the conditional cached-file sampler stay consistent mid-churn and are
+//! rebuilt once per event. An event does `O(V·log(nV))` ring work and
+//! `O(M)` placement calls plus that one rebuild.
 
 use crate::schedule::{ChurnEventKind, ChurnSchedule};
 use paba_core::source::RequestSource;
-use paba_core::{CacheNetwork, Request, SimReport, Strategy};
+use paba_core::{CacheNetwork, Placement, Request, SimReport, Strategy};
 use paba_dht::HashRing;
 use paba_popularity::FileId;
 use paba_telemetry::{Counter, Recorder, SpanTimer, Stage};
@@ -136,13 +147,18 @@ const DRAW_ATTEMPTS: u32 = 48;
 pub struct ChurnEngine {
     alive: Vec<bool>,
     live: u32,
+    /// The full-membership ring, built once and read through `alive`.
     ring: HashRing,
+    /// `(ring position, file)` for every file key, sorted by position:
+    /// join refill intersects the joiner's ring arcs with it.
+    file_keys: Vec<(u64, FileId)>,
     cfg: ChurnCfg,
     report: ChurnReport,
 }
 
 impl ChurnEngine {
-    /// Start with every node alive.
+    /// Start with every node alive. Builds the ring and sorts the
+    /// file-key index once: `O(nV·log(nV) + K·log K)`.
     ///
     /// # Panics
     /// On the implicit full placement (churn requires a materialized,
@@ -153,10 +169,16 @@ impl ChurnEngine {
             "churn needs a materialized (non-full) placement"
         );
         let n = net.n();
+        let ring = HashRing::new(n, cfg.vnodes, cfg.salt);
+        let mut file_keys: Vec<(u64, FileId)> = (0..net.k())
+            .map(|f| (ring.key_position(f as u64), f))
+            .collect();
+        file_keys.sort_unstable();
         Self {
             alive: vec![true; n as usize],
             live: n,
-            ring: HashRing::new(n, cfg.vnodes, cfg.salt),
+            ring,
+            file_keys,
             cfg,
             report: ChurnReport::default(),
         }
@@ -183,7 +205,8 @@ impl ChurnEngine {
         self.report
     }
 
-    /// Apply one schedule event to the live network.
+    /// Apply one schedule event to the live network, with at most one
+    /// `CacheNetwork::mutate_placement` call.
     pub fn apply<T, R, Rec>(
         &mut self,
         net: &mut CacheNetwork<T>,
@@ -209,6 +232,25 @@ impl ChurnEngine {
         }
     }
 
+    /// Mark `node` down, unless it already is or is the last live node.
+    fn take_down(&mut self, node: NodeId) -> bool {
+        if !self.alive[node as usize] || self.live == 1 {
+            return false;
+        }
+        self.alive[node as usize] = false;
+        self.live -= 1;
+        true
+    }
+
+    /// Account for `moved` re-homed replicas and `lost` dropped copies.
+    fn record_moves<Rec: Recorder>(&mut self, (moved, lost): (u64, u64), rec: &Rec) {
+        self.report.migrations += moved;
+        self.report.lost += lost;
+        if moved > 0 {
+            rec.count(Counter::RepairMigration, moved);
+        }
+    }
+
     fn crash<T, R, Rec>(
         &mut self,
         net: &mut CacheNetwork<T>,
@@ -221,12 +263,9 @@ impl ChurnEngine {
         R: Rng + ?Sized,
         Rec: Recorder,
     {
-        if !self.alive[node as usize] || self.live == 1 {
+        if !self.take_down(node) {
             return false;
         }
-        self.alive[node as usize] = false;
-        self.live -= 1;
-        self.ring = self.ring.without_server(node);
         if matches!(self.cfg.repair, RepairPolicy::None) {
             // No repair protocol: the directory goes stale. Requests keep
             // choosing this node's entries and pay retries to discover
@@ -235,17 +274,11 @@ impl ChurnEngine {
         }
         // Active repair: drop the dead node's entries and re-home each
         // lost copy on a policy-chosen live node with spare capacity.
-        let lost = net.mutate_placement(|p| p.remove_node_entries(node));
-        for f in lost {
-            match self.pick_repair_target(net, f, rng) {
-                Some(u) => {
-                    net.mutate_placement(|p| p.insert(u, f));
-                    self.report.migrations += 1;
-                    rec.count(Counter::RepairMigration, 1);
-                }
-                None => self.report.lost += 1,
-            }
-        }
+        let (alive, repair) = (&self.alive, self.cfg.repair);
+        let moves = rehome(net, node, |p, f| {
+            pick_target(p, alive, repair, f, true, rng)
+        });
+        self.record_moves(moves, rec);
         true
     }
 
@@ -254,34 +287,21 @@ impl ChurnEngine {
         T: Topology,
         Rec: Recorder,
     {
-        if !self.alive[node as usize] || self.live == 1 {
+        if !self.take_down(node) {
             return false;
         }
-        self.alive[node as usize] = false;
-        self.live -= 1;
-        self.ring = self.ring.without_server(node);
         // Graceful departure: the leaver hands each cached file to its
         // first live ring successor with room (the minimal-disruption
         // move), regardless of the repair policy — departure is the
         // node's own protocol, not the network's.
-        let files = net.mutate_placement(|p| p.remove_node_entries(node));
-        for f in files {
-            let succs = self
-                .ring
-                .lookup_replicas(f as u64, self.cfg.replication as usize);
-            let p = net.placement();
-            match succs
+        let (ring, alive) = (&self.ring, &self.alive);
+        let k = self.cfg.replication as usize;
+        let moves = rehome(net, node, |p, f| {
+            ring.lookup_replicas_where(f as u64, k, |s| alive[s as usize])
                 .into_iter()
                 .find(|&u| !p.caches(u, f) && p.t_u(u) < p.m())
-            {
-                Some(u) => {
-                    net.mutate_placement(|p| p.insert(u, f));
-                    self.report.migrations += 1;
-                    rec.count(Counter::RepairMigration, 1);
-                }
-                None => self.report.lost += 1,
-            }
-        }
+        });
+        self.record_moves(moves, rec);
         true
     }
 
@@ -302,7 +322,6 @@ impl ChurnEngine {
         }
         self.alive[node as usize] = true;
         self.live += 1;
-        self.ring = self.ring.with_server(node);
         if matches!(self.cfg.repair, RepairPolicy::None) {
             // The node resumes serving whatever the (stale) directory
             // still attributes to it — a crash/rejoin round-trips its
@@ -311,59 +330,62 @@ impl ChurnEngine {
         }
         // Ring-driven refill: adopt the cached files whose replica set
         // now includes the joiner, up to capacity.
-        let adopt: Vec<FileId> = {
-            let p = net.placement();
-            let mut room = (p.m() - p.t_u(node)) as usize;
-            let mut out = Vec::new();
-            for f in 0..net.k() {
-                if room == 0 {
-                    break;
-                }
-                if p.replica_count(f) == 0 || p.caches(node, f) {
-                    continue;
-                }
-                if self
-                    .ring
-                    .lookup_replicas(f as u64, self.cfg.replication as usize)
-                    .contains(&node)
-                {
-                    out.push(f);
-                    room -= 1;
-                }
-            }
-            out
-        };
-        if !adopt.is_empty() {
-            net.mutate_placement(|p| {
-                for &f in &adopt {
-                    p.insert(node, f);
-                }
-            });
-            self.report.migrations += adopt.len() as u64;
-            rec.count(Counter::RepairMigration, adopt.len() as u64);
-        }
+        let p = net.placement();
+        let mut adopt = self.ring_refill(p, node);
         // Top-up: the ring only hands the joiner the few files it is a
         // directory successor for (≈ K·R/n in expectation). A real cache
         // re-seeds the rest of its capacity exactly like the placement
         // phase — up to M popularity draws (duplicates waste the draw,
         // matching the with-replacement model) — so `t(u)` recovers to
         // its static level and the δ half of goodness survives rejoins.
-        let mut drawn = 0u64;
-        for _ in 0..net.m() {
-            if net.placement().t_u(node) >= net.m() {
+        // The draws run against a copy of the joiner's file set, so the
+        // refill and the top-up land in one mutation.
+        let mut held: Vec<FileId> = p.node_files(node).to_vec();
+        held.extend(&adopt);
+        held.sort_unstable();
+        let m = net.m() as usize;
+        for _ in 0..m {
+            if held.len() >= m {
                 break;
             }
             let f = net.library().sample_file(rng);
-            if !net.placement().caches(node, f) {
-                net.mutate_placement(|p| p.insert(node, f));
-                drawn += 1;
+            if let Err(at) = held.binary_search(&f) {
+                held.insert(at, f);
+                adopt.push(f);
             }
         }
-        if drawn > 0 {
-            self.report.migrations += drawn;
-            rec.count(Counter::RepairMigration, drawn);
+        if !adopt.is_empty() {
+            net.mutate_placement(|p| {
+                for &f in &adopt {
+                    p.insert(node, f);
+                }
+            });
         }
+        self.record_moves((adopt.len() as u64, 0), rec);
         true
+    }
+
+    /// The cached files `node` lacks whose live replica set includes it,
+    /// in ascending id, up to its free room: the joiner's ring arcs
+    /// intersected with the sorted file-key index.
+    fn ring_refill(&self, p: &Placement, node: NodeId) -> Vec<FileId> {
+        let alive = &self.alive;
+        let k = self.cfg.replication as usize;
+        let mut files: Vec<FileId> = Vec::new();
+        for (lo, hi) in self.ring.replica_arcs(node, k, |s| alive[s as usize]) {
+            let a = self.file_keys.partition_point(|&(x, _)| x < lo);
+            let b = self.file_keys.partition_point(|&(x, _)| x <= hi);
+            files.extend(
+                self.file_keys[a..b]
+                    .iter()
+                    .map(|&(_, f)| f)
+                    .filter(|&f| p.replica_count(f) > 0 && !p.caches(node, f)),
+            );
+        }
+        files.sort_unstable();
+        files.dedup();
+        files.truncate((p.m() - p.t_u(node)) as usize);
+        files
     }
 
     fn insert_file<T, R>(&mut self, net: &mut CacheNetwork<T>, file: FileId, rng: &mut R) -> bool
@@ -372,111 +394,32 @@ impl ChurnEngine {
         R: Rng + ?Sized,
     {
         let copies = self.cfg.replication.min(self.live);
-        let mut placed = false;
-        for _ in 0..copies {
-            // Insert targets may be full — ingest is what creates
-            // capacity pressure — so eviction is allowed here (and only
-            // here; repair never destroys resident data).
-            let target = match self.cfg.repair {
-                RepairPolicy::TwoChoices => {
-                    match (
-                        self.draw_insert_target(net, file, rng),
-                        self.draw_insert_target(net, file, rng),
-                    ) {
-                        (Some(a), Some(b)) => {
-                            let p = net.placement();
-                            Some(if p.t_u(b) < p.t_u(a) { b } else { a })
-                        }
-                        (a, b) => a.or(b),
-                    }
+        let (alive, repair) = (&self.alive, self.cfg.repair);
+        let (inserted, evictions, lost) = net.mutate_placement(|p| {
+            let (mut inserted, mut evictions, mut lost) = (0, 0, 0);
+            for _ in 0..copies {
+                // Insert targets may be full — ingest is what creates
+                // capacity pressure — so eviction is allowed here (and
+                // only here; repair never destroys resident data).
+                let Some(u) = pick_target(p, alive, repair, file, false, rng) else {
+                    lost += 1;
+                    continue;
+                };
+                if p.t_u(u) >= p.m() {
+                    let resident = p.node_files(u);
+                    let victim = resident[rng.gen_range(0..resident.len())];
+                    p.remove(u, victim);
+                    evictions += 1;
                 }
-                _ => self.draw_insert_target(net, file, rng),
-            };
-            let Some(u) = target else {
-                self.report.lost += 1;
-                continue;
-            };
-            if net.placement().t_u(u) >= net.m() {
-                let resident = net.placement().node_files(u);
-                let victim = resident[rng.gen_range(0..resident.len())];
-                net.mutate_placement(|p| p.remove(u, victim));
-                self.report.evictions += 1;
+                p.insert(u, file);
+                inserted += 1;
             }
-            net.mutate_placement(|p| p.insert(u, file));
-            self.report.inserted += 1;
-            placed = true;
-        }
-        placed
-    }
-
-    /// Uniform live node not yet caching `file` (full caches allowed —
-    /// callers evict). `None` after [`DRAW_ATTEMPTS`] rejections.
-    fn draw_insert_target<T, R>(
-        &self,
-        net: &CacheNetwork<T>,
-        file: FileId,
-        rng: &mut R,
-    ) -> Option<NodeId>
-    where
-        T: Topology,
-        R: Rng + ?Sized,
-    {
-        let p = net.placement();
-        for _ in 0..DRAW_ATTEMPTS {
-            let u = rng.gen_range(0..p.n());
-            if self.alive[u as usize] && !p.caches(u, file) {
-                return Some(u);
-            }
-        }
-        None
-    }
-
-    /// Uniform live node not caching `file` *with spare capacity* (repair
-    /// must not evict). `None` after [`DRAW_ATTEMPTS`] rejections.
-    fn draw_repair_candidate<T, R>(
-        &self,
-        net: &CacheNetwork<T>,
-        file: FileId,
-        rng: &mut R,
-    ) -> Option<NodeId>
-    where
-        T: Topology,
-        R: Rng + ?Sized,
-    {
-        let p = net.placement();
-        for _ in 0..DRAW_ATTEMPTS {
-            let u = rng.gen_range(0..p.n());
-            if self.alive[u as usize] && !p.caches(u, file) && p.t_u(u) < p.m() {
-                return Some(u);
-            }
-        }
-        None
-    }
-
-    fn pick_repair_target<T, R>(
-        &self,
-        net: &CacheNetwork<T>,
-        file: FileId,
-        rng: &mut R,
-    ) -> Option<NodeId>
-    where
-        T: Topology,
-        R: Rng + ?Sized,
-    {
-        match self.cfg.repair {
-            RepairPolicy::None => None,
-            RepairPolicy::Random => self.draw_repair_candidate(net, file, rng),
-            RepairPolicy::TwoChoices => match (
-                self.draw_repair_candidate(net, file, rng),
-                self.draw_repair_candidate(net, file, rng),
-            ) {
-                (Some(a), Some(b)) => {
-                    let p = net.placement();
-                    Some(if p.t_u(b) < p.t_u(a) { b } else { a })
-                }
-                (a, b) => a.or(b),
-            },
-        }
+            (inserted, evictions, lost)
+        });
+        self.report.inserted += inserted;
+        self.report.evictions += evictions;
+        self.report.lost += lost;
+        inserted > 0
     }
 
     /// Failure-degraded serving: the strategy chose a dead server. Probe
@@ -526,6 +469,58 @@ impl ChurnEngine {
         self.report.failed += 1;
         rec.count(Counter::FailedRequest, 1);
         None
+    }
+}
+
+/// Drop every entry of `node` and give each file to `pick`'s choice, all
+/// in one placement mutation. Returns `(moved, lost)`: a file `pick`
+/// finds no home for is lost.
+fn rehome<T: Topology>(
+    net: &mut CacheNetwork<T>,
+    node: NodeId,
+    mut pick: impl FnMut(&Placement, FileId) -> Option<NodeId>,
+) -> (u64, u64) {
+    net.mutate_placement(|p| {
+        let (mut moved, mut lost) = (0, 0);
+        for f in p.remove_node_entries(node) {
+            match pick(p, f) {
+                Some(u) => {
+                    p.insert(u, f);
+                    moved += 1;
+                }
+                None => lost += 1,
+            }
+        }
+        (moved, lost)
+    })
+}
+
+/// A uniform live node not caching `file` — with spare capacity when
+/// `need_room` (repair must not evict; inserts may, so they take full
+/// caches) — or, under two-choices, the one caching fewer distinct files
+/// of two such draws (ties to the first). `None` when every draw spends
+/// [`DRAW_ATTEMPTS`] rejections.
+fn pick_target<R: Rng + ?Sized>(
+    p: &Placement,
+    alive: &[bool],
+    repair: RepairPolicy,
+    file: FileId,
+    need_room: bool,
+    rng: &mut R,
+) -> Option<NodeId> {
+    let fits =
+        |u: NodeId| alive[u as usize] && !p.caches(u, file) && (!need_room || p.t_u(u) < p.m());
+    let mut draw = || {
+        (0..DRAW_ATTEMPTS)
+            .map(|_| rng.gen_range(0..p.n()))
+            .find(|&u| fits(u))
+    };
+    if repair != RepairPolicy::TwoChoices {
+        return draw();
+    }
+    match (draw(), draw()) {
+        (Some(a), Some(b)) => Some(if p.t_u(b) < p.t_u(a) { b } else { a }),
+        (a, b) => a.or(b),
     }
 }
 

@@ -11,9 +11,13 @@
 //!   the request loop by [`simulate_churn`];
 //! * **mutable placement** — events mutate `Placement` incrementally
 //!   (sorted replica lists, CSR node lists, and the dense bitmaps all
-//!   stay consistent; see `Placement::insert`/`remove`), with
-//!   `paba-dht`'s [`HashRing`](paba_dht::HashRing) as the
-//!   minimal-disruption directory for leave handoff and join refill;
+//!   stay consistent; see `Placement::insert`/`remove`), one
+//!   `mutate_placement` batch per event, with `paba-dht`'s
+//!   [`HashRing`](paba_dht::HashRing) as the minimal-disruption
+//!   directory for leave handoff and join refill. The ring is built once
+//!   for every node and read through the engine's liveness mask, so an
+//!   event touches only the arcs next to the node that churned (a
+//!   joiner's arcs are intersected with a sorted file-key index);
 //! * **graceful degradation** — requests hitting a dead replica probe
 //!   the next-nearest live replicas under a bounded retry budget, then
 //!   serve degraded at the origin ([`ChurnEngine::failover`]);

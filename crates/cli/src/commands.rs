@@ -2068,9 +2068,10 @@ mod tests {
 
     #[test]
     fn suite_rejects_invalid_regimes() {
-        // Each override resolves to a regime the engines cannot run; it
-        // must come back as an error naming the flag, before the golden
-        // is read, never as a worker panic.
+        // Each override resolves to a regime the engines cannot run, or
+        // (zero replicas) one that runs to a meaningless result; it must
+        // come back as an error naming the flag, before the golden is
+        // read, never as a worker panic.
         for (cmd, flag) in [
             ("churn --side 0", "--side"),
             ("churn --side 1", "--side"),
@@ -2078,6 +2079,7 @@ mod tests {
             ("churn --cache 0", "--cache"),
             ("churn --gamma -1", "--gamma"),
             ("churn --gamma nan", "--gamma"),
+            ("churn --replication 0", "--replication"),
             ("queueing --side 0", "--side"),
             ("queueing --side 4294967295", "--side"),
             ("queueing --files 0", "--files"),

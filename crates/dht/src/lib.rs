@@ -8,7 +8,10 @@
 //! * [`HashRing`] — a classic consistent-hash ring over the `u64` key
 //!   space with virtual nodes, O(log V) successor lookup, k-distinct-
 //!   successor replication, and the minimal-disruption property on
-//!   membership change (tested, not just asserted);
+//!   membership change (tested, not just asserted). A membership
+//!   predicate turns one fixed ring into the ring of any member subset:
+//!   [`HashRing::lookup_replicas_where`] skips the excluded servers, and
+//!   [`HashRing::replica_arcs`] names the key arcs a server replicates;
 //! * [`dht_placement`] — deterministic cache placement for a
 //!   [`paba_core::CacheNetwork`]: each file lands on the `R_j` distinct
 //!   successors of its key, with per-file replication either fixed or

@@ -81,14 +81,33 @@ impl HashRing {
 
     /// The first `k` *distinct* servers at or after `key`'s position —
     /// the replica set in successor-list replication (the paper's \[29\]).
-    /// Returns fewer than `k` only if the ring has fewer distinct servers.
+    /// Returns fewer than `k` only if the ring has fewer distinct servers,
+    /// and nothing when `k == 0`.
     pub fn lookup_replicas(&self, key: u64, k: usize) -> Vec<u32> {
+        self.lookup_replicas_where(key, k, |_| true)
+    }
+
+    /// [`HashRing::lookup_replicas`] over only the servers `keep`
+    /// accepts: the successor walk skips every point of a rejected
+    /// server. The result equals `lookup_replicas` on the ring rebuilt
+    /// without the rejected servers, so a fixed ring read through a
+    /// liveness mask serves a changing membership.
+    pub fn lookup_replicas_where(
+        &self,
+        key: u64,
+        k: usize,
+        keep: impl Fn(u32) -> bool,
+    ) -> Vec<u32> {
         let pos = self.key_position(key);
+        let len = self.points.len();
         let start = self.points.partition_point(|&(p, _)| p < pos);
         let mut out: Vec<u32> = Vec::with_capacity(k);
-        for i in 0..self.points.len() {
-            let (_, server) = self.points[(start + i) % self.points.len()];
-            if !out.contains(&server) {
+        if k == 0 {
+            return out;
+        }
+        for i in 0..len {
+            let (_, server) = self.points[(start + i) % len];
+            if keep(server) && !out.contains(&server) {
                 out.push(server);
                 if out.len() == k {
                     break;
@@ -98,8 +117,71 @@ impl HashRing {
         out
     }
 
+    /// The key positions whose [`HashRing::lookup_replicas_where`] set
+    /// (for the same `k` and `keep`) contains `server`, as inclusive
+    /// `(lo, hi)` ranges with `lo <= hi`; an arc that wraps past the top
+    /// of the key space comes back as two ranges. Ranges may overlap.
+    ///
+    /// Walking back from each of `server`'s virtual nodes over accepted
+    /// points until `k` distinct other servers are seen marks one arc:
+    /// a key that starts its successor walk on a point passed reaches
+    /// `server` before `k` others. Empty when `k == 0` or `keep` rejects
+    /// `server`; the whole key space when fewer than `k` other servers
+    /// are accepted. Cost: `V` binary searches plus the points walked
+    /// back, about `k` per virtual node when most servers are accepted.
+    pub fn replica_arcs(
+        &self,
+        server: u32,
+        k: usize,
+        keep: impl Fn(u32) -> bool,
+    ) -> Vec<(u64, u64)> {
+        if k == 0 || !keep(server) {
+            return Vec::new();
+        }
+        let len = self.points.len();
+        let mut arcs = Vec::with_capacity(self.vnodes as usize);
+        let mut seen: Vec<u32> = Vec::with_capacity(k);
+        for v in 0..self.vnodes {
+            let pos = Self::vnode_hash(server, v, self.salt);
+            // A virtual node lost to a hash collision owns no point.
+            let Ok(at) = self.points.binary_search(&(pos, server)) else {
+                continue;
+            };
+            seen.clear();
+            let mut from = None;
+            for i in 1..len {
+                let (p, s) = self.points[(at + len - i) % len];
+                if s != server && keep(s) && !seen.contains(&s) {
+                    seen.push(s);
+                    if seen.len() == k {
+                        from = Some(p);
+                        break;
+                    }
+                }
+            }
+            let Some(from) = from else {
+                return vec![(0, u64::MAX)];
+            };
+            if from < pos {
+                arcs.push((from + 1, pos));
+            } else {
+                if from < u64::MAX {
+                    arcs.push((from + 1, u64::MAX));
+                }
+                arcs.push((0, pos));
+            }
+        }
+        arcs
+    }
+
     /// A new ring with server `gone` removed (its arcs fall to their
     /// successors; everyone else's assignments are untouched).
+    ///
+    /// Copies every remaining point. The churn engine reads one fixed
+    /// ring through its liveness mask instead
+    /// ([`HashRing::lookup_replicas_where`]); this rebuild is kept as the
+    /// reference the ring tests compare the mask against, and for the
+    /// benchmark's `dht.ring_rebuild_ns` probe.
     ///
     /// # Panics
     /// If removing `gone` would empty the ring.
@@ -125,6 +207,10 @@ impl HashRing {
     /// ring [`HashRing::new`] would build with `added` present (equal
     /// hash positions keep the smaller server id, matching `new`'s
     /// sort-then-dedup order).
+    ///
+    /// Clones and re-sorts every point; kept, like
+    /// [`HashRing::without_server`], for the ring tests and the
+    /// benchmark's `dht.ring_rebuild_ns` probe.
     ///
     /// # Panics
     /// If `added` already owns points on the ring.

@@ -9,6 +9,13 @@
 //! 2. **Minimal disruption** — across each step, a key changes hands
 //!    only if its old owner left or its new owner just joined, and the
 //!    moved fraction stays near the 1/|servers| ideal.
+//! 3. **A mask is a rebuild** — the full ring read through a membership
+//!    mask (`lookup_replicas_where`) answers exactly like the ring
+//!    rebuilt for that membership, which is how the churn engine keeps
+//!    one ring for a whole run.
+//! 4. **Arcs are replica sets** — a key's position lies in server `s`'s
+//!    `replica_arcs` exactly when its masked replica set contains `s`,
+//!    which is how a joiner finds the files it should adopt.
 
 use paba_dht::HashRing;
 use rand::rngs::SmallRng;
@@ -19,6 +26,8 @@ const VNODES: u32 = 64;
 const SALT: u64 = 0x5EED;
 const KEYS: u64 = 6_000;
 const REPLICAS: usize = 3;
+/// Keys probed per membership mask and replica count.
+const MASK_KEYS: u64 = 2_000;
 
 /// Canonical ring for an arbitrary membership subset: start from the
 /// full ring and remove the absent servers in ascending order. Removal
@@ -130,4 +139,116 @@ fn each_step_moves_only_keys_touching_the_churned_server() {
         members[churned as usize] = !members[churned as usize];
         live = if join { live + 1 } else { live - 1 };
     }
+}
+
+/// Random memberships of every density, from a single live server up to
+/// the full ring.
+fn random_masks(seed: u64) -> Vec<Vec<bool>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut masks = vec![vec![true; N as usize]];
+    for live in [1, 2, 3, 6, 12, 20, 23] {
+        let mut mask = vec![false; N as usize];
+        let mut ids: Vec<u32> = (0..N).collect();
+        for i in 0..live {
+            let j = rng.gen_range(i..N as usize);
+            ids.swap(i, j);
+            mask[ids[i] as usize] = true;
+        }
+        masks.push(mask);
+    }
+    masks
+}
+
+fn in_arcs(arcs: &[(u64, u64)], x: u64) -> bool {
+    arcs.iter().any(|&(lo, hi)| lo <= x && x <= hi)
+}
+
+#[test]
+fn masked_lookup_matches_rebuilt_ring() {
+    let ring = HashRing::new(N, VNODES, SALT);
+    for (m, members) in random_masks(7).iter().enumerate() {
+        let rebuilt = reference(members);
+        for k in [0, 1, REPLICAS, 5] {
+            for key in 0..MASK_KEYS {
+                let masked = ring.lookup_replicas_where(key, k, |s| members[s as usize]);
+                assert_eq!(
+                    masked,
+                    rebuilt.lookup_replicas(key, k),
+                    "mask {m}, k {k}, key {key}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_replicas_means_no_replicas_and_no_arcs() {
+    let ring = HashRing::new(N, VNODES, SALT);
+    for key in 0..200 {
+        assert!(ring.lookup_replicas(key, 0).is_empty(), "key {key}");
+        assert!(ring.lookup_replicas_where(key, 0, |_| true).is_empty());
+    }
+    for s in 0..N {
+        assert!(ring.replica_arcs(s, 0, |_| true).is_empty(), "server {s}");
+    }
+}
+
+#[test]
+fn replica_arcs_hold_exactly_the_keys_replicated_on_the_server() {
+    let ring = HashRing::new(N, VNODES, SALT);
+    let mut wrapped = 0u64;
+    for (m, members) in random_masks(11).iter().enumerate() {
+        let live = members.iter().filter(|&&a| a).count();
+        let keep = |s: u32| members[s as usize];
+        for k in [1, 2, REPLICAS, 5] {
+            let sets: Vec<Vec<u32>> = (0..MASK_KEYS)
+                .map(|key| ring.lookup_replicas_where(key, k, keep))
+                .collect();
+            let mut at_zero = Vec::new();
+            let mut at_top = Vec::new();
+            for s in 0..N {
+                let arcs = ring.replica_arcs(s, k, keep);
+                assert!(arcs.iter().all(|&(lo, hi)| lo <= hi), "mask {m}, k {k}");
+                if !members[s as usize] {
+                    assert!(arcs.is_empty(), "mask {m}, k {k}: dead server {s}");
+                    continue;
+                }
+                if live <= k {
+                    // Fewer than k other live servers: every key's
+                    // replica set holds every live server.
+                    assert_eq!(arcs, vec![(0, u64::MAX)], "mask {m}, k {k}");
+                }
+                // The two halves of an arc split at the key-space end
+                // (but not the whole-space arc).
+                let split: Vec<(u64, u64)> = arcs
+                    .iter()
+                    .copied()
+                    .filter(|&(lo, hi)| (lo == 0) != (hi == u64::MAX))
+                    .collect();
+                for (key, set) in (0..MASK_KEYS).zip(&sets) {
+                    let pos = ring.key_position(key);
+                    assert_eq!(
+                        in_arcs(&arcs, pos),
+                        set.contains(&s),
+                        "mask {m}, k {k}, server {s}, key {key}"
+                    );
+                    wrapped += in_arcs(&split, pos) as u64;
+                }
+                if in_arcs(&arcs, 0) {
+                    at_zero.push(s);
+                }
+                if in_arcs(&arcs, u64::MAX) {
+                    at_top.push(s);
+                }
+            }
+            // Both ends of the key space start their walk on the lowest
+            // point, so the same min(k, live) servers cover them.
+            assert_eq!(at_zero, at_top, "mask {m}, k {k}");
+            assert_eq!(at_zero.len(), k.min(live), "mask {m}, k {k}");
+        }
+    }
+    assert!(
+        wrapped > 0,
+        "no sampled key fell in an arc at a key-space end"
+    );
 }

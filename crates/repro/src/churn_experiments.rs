@@ -134,6 +134,11 @@ impl Regime {
         };
         // A schedule cycles at least one node and keeps at least one up.
         check_network(r.side, 2, r.k, r.m, r.gamma)?;
+        if r.replication == 0 {
+            // Zero replicas would place nothing on insert and hand off
+            // nothing on leave: not a regime, a typo.
+            return Err("--replication must be at least 1, got 0".into());
+        }
         for (flag, v) in [
             ("cycle-fraction", r.spec.cycle_fraction),
             ("graceful-fraction", r.spec.graceful_fraction),
