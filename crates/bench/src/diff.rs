@@ -20,33 +20,20 @@
 
 use std::path::Path;
 
-use paba_repro::json::{parse, Json};
 use paba_theory::bounds::{binomial_sigma, mean_gap_z};
+use paba_util::json::{parse, Json};
 use paba_util::{schema, Table};
 
-/// Gates separating regression from noise; see module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct DiffGates {
-    /// |z| a path-share shift must exceed.
-    pub z: f64,
-    /// Absolute share delta a path-share shift must also exceed.
-    pub share_floor: f64,
-    /// NEW/OLD mean-span-time ratio above which a stage regresses.
-    pub span_ratio: f64,
-    /// NEW/OLD speedup geo-mean below which throughput regresses.
-    pub speedup_ratio: f64,
-}
+// Gates separating regression from noise; see module docs.
 
-impl Default for DiffGates {
-    fn default() -> Self {
-        Self {
-            z: 6.0,
-            share_floor: 0.02,
-            span_ratio: 3.0,
-            speedup_ratio: 0.5,
-        }
-    }
-}
+/// |z| a path-share shift must exceed.
+pub const Z_GATE: f64 = 6.0;
+/// Absolute share delta a path-share shift must also exceed.
+pub const SHARE_FLOOR: f64 = 0.02;
+/// NEW/OLD mean-span-time ratio above which a stage regresses.
+pub const SPAN_RATIO: f64 = 3.0;
+/// NEW/OLD speedup geo-mean below which throughput regresses.
+pub const SPEEDUP_RATIO: f64 = 0.5;
 
 /// One compared quantity.
 #[derive(Clone, Debug)]
@@ -74,8 +61,6 @@ pub struct ProfileDiff {
     pub findings: Vec<DiffFinding>,
     /// Labels present in both artifacts.
     pub compared_labels: usize,
-    /// Gates that were applied.
-    pub gates: DiffGates,
 }
 
 impl ProfileDiff {
@@ -185,11 +170,7 @@ fn lookup(pairs: &[(String, f64)], key: &str) -> Option<f64> {
 }
 
 /// Diff two `paba-profile/1` documents (already read into strings).
-pub fn diff_profiles(
-    old_src: &str,
-    new_src: &str,
-    gates: DiffGates,
-) -> Result<ProfileDiff, String> {
+pub fn diff_profiles(old_src: &str, new_src: &str) -> Result<ProfileDiff, String> {
     let old = parse_profile(old_src, "OLD")?;
     let new = parse_profile(new_src, "NEW")?;
     let mut findings = Vec::new();
@@ -228,7 +209,7 @@ pub fn diff_profiles(
             let se_new = binomial_sigma(np.requests, pooled) / np.requests;
             let z = mean_gap_z(share_new, se_new, share_old, se_old);
             let delta = share_new - share_old;
-            let regression = z.abs() > gates.z && delta.abs() > gates.share_floor;
+            let regression = z.abs() > Z_GATE && delta.abs() > SHARE_FLOOR;
             if delta != 0.0 || regression {
                 findings.push(DiffFinding {
                     label: op.label.clone(),
@@ -258,7 +239,7 @@ pub fn diff_profiles(
                 old: *mean_old,
                 new: *mean_new,
                 z: f64::NAN,
-                regression: ratio.is_finite() && ratio > gates.span_ratio,
+                regression: ratio.is_finite() && ratio > SPAN_RATIO,
                 note: format!("{ratio:.2}x mean time"),
             });
         }
@@ -285,7 +266,7 @@ pub fn diff_profiles(
                     old: 1.0,
                     new: geo,
                     z: f64::NAN,
-                    regression: geo < gates.speedup_ratio,
+                    regression: geo < SPEEDUP_RATIO,
                     note: format!("{} shared labels", ratios.len()),
                 });
             }
@@ -304,17 +285,16 @@ pub fn diff_profiles(
     Ok(ProfileDiff {
         findings,
         compared_labels,
-        gates,
     })
 }
 
 /// Diff two artifact files.
-pub fn diff_files(old: &Path, new: &Path, gates: DiffGates) -> Result<ProfileDiff, String> {
+pub fn diff_files(old: &Path, new: &Path) -> Result<ProfileDiff, String> {
     let old_src =
         std::fs::read_to_string(old).map_err(|e| format!("reading {}: {e}", old.display()))?;
     let new_src =
         std::fs::read_to_string(new).map_err(|e| format!("reading {}: {e}", new.display()))?;
-    diff_profiles(&old_src, &new_src, gates)
+    diff_profiles(&old_src, &new_src)
 }
 
 fn fmt_val(metric: &str, v: f64) -> String {
@@ -374,7 +354,7 @@ mod tests {
     #[test]
     fn self_diff_reports_zero_regressions() {
         let a = artifact();
-        let d = diff_profiles(&a, &a, DiffGates::default()).expect("diff runs");
+        let d = diff_profiles(&a, &a).expect("diff runs");
         assert_eq!(d.compared_labels, 1);
         assert_eq!(d.regressions(), 0, "identical artifacts never regress");
         // Path counts are bit-identical, so no path rows at all; spans
@@ -412,11 +392,11 @@ mod tests {
                 &format!("\"exact-scan\":{}", exact + rej),
             );
         assert_ne!(a, b, "perturbation must hit the artifact text");
-        let d = diff_profiles(&a, &b, DiffGates::default()).expect("diff runs");
+        let d = diff_profiles(&a, &b).expect("diff runs");
         assert!(d.regressions() > 0, "perturbed path mix must regress");
         let reg = d.findings.iter().find(|f| f.regression).unwrap();
         assert!(reg.metric.starts_with("path:"));
-        assert!(reg.z.abs() > DiffGates::default().z);
+        assert!(reg.z.abs() > Z_GATE);
     }
 
     #[test]
@@ -438,14 +418,14 @@ mod tests {
             "\"exact-scan\":999999999",
         );
         assert_ne!(a, b, "perturbation must hit the artifact text");
-        let d = diff_profiles(&a, &b, DiffGates::default()).expect("diff must not panic");
+        let d = diff_profiles(&a, &b).expect("diff must not panic");
         assert!(d.regressions() > 0);
     }
 
     #[test]
     fn slower_spans_regress_only_past_ratio_gate() {
         let a = artifact();
-        let d = diff_profiles(&a, &a, DiffGates::default()).unwrap();
+        let d = diff_profiles(&a, &a).unwrap();
         let span = d
             .findings
             .iter()
@@ -459,12 +439,12 @@ mod tests {
     fn disjoint_labels_error() {
         let a = artifact();
         let b = a.replace("\"label\": \"tiny\"", "\"label\": \"other\"");
-        assert!(diff_profiles(&a, &b, DiffGates::default()).is_err());
+        assert!(diff_profiles(&a, &b).is_err());
     }
 
     #[test]
     fn wrong_schema_errors() {
-        let err = diff_profiles(r#"{"schema": "x/1"}"#, &artifact(), DiffGates::default());
+        let err = diff_profiles(r#"{"schema": "x/1"}"#, &artifact());
         assert!(err.is_err());
     }
 }

@@ -43,9 +43,9 @@
 use crate::throughput::{measure_point, regime_grid, ThroughputPoint};
 use paba_core::{simulate_source_profiled, CacheNetwork, IidUniform, ProximityChoice};
 use paba_mcrunner::run_parallel_with_state;
-use paba_repro::json::{parse, Json};
 use paba_telemetry::{AtomicRecorder, SpanTimer, Stage, TelemetrySnapshot};
 use paba_util::envcfg::Scale;
+use paba_util::json::{parse, Json};
 use paba_util::{schema, Provenance, Table};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

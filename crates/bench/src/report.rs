@@ -18,7 +18,7 @@
 
 use std::path::Path;
 
-use paba_repro::json::{parse, Json};
+use paba_util::json::{parse, Json};
 use paba_util::{schema, Provenance, Table};
 
 /// One parsed artifact plus everything the checks derived from it.
@@ -45,34 +45,6 @@ pub struct Report {
     pub warnings: Vec<String>,
     /// Fatal consistency findings (callers should exit nonzero).
     pub failures: Vec<String>,
-}
-
-/// Parse a `"provenance"` block back into [`Provenance`].
-///
-/// The inverse of [`Provenance::to_json`]; every field is required, so a
-/// drifted writer shows up as `Err`, not as a silently partial struct.
-pub fn parse_provenance(v: &Json) -> Result<Provenance, String> {
-    let s = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("provenance missing string '{key}'"))
-    };
-    let n = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("provenance missing integer '{key}'"))
-    };
-    Ok(Provenance {
-        schema: s("schema")?,
-        writer: s("writer")?,
-        seed: n("seed")?,
-        scale: s("scale")?,
-        config_hash: s("config_hash")?,
-        threads: n("threads")?,
-        build_profile: s("build_profile")?,
-        unix_time_s: n("unix_time_s")?,
-    })
 }
 
 /// List `BENCH_*.json` files in `dir` as `(file_name, contents)`, sorted
@@ -338,7 +310,7 @@ pub fn build_report(files: &[(String, String)]) -> Report {
             .to_string();
         let provenance = match doc.get("provenance") {
             None | Some(Json::Null) => None,
-            Some(p) => match parse_provenance(p) {
+            Some(p) => match Provenance::from_json(p) {
                 Ok(p) => Some(p),
                 Err(e) => {
                     failures.push(format!("{name}: malformed provenance block: {e}"));
@@ -521,14 +493,6 @@ mod tests {
             }],
         }
         .to_json()
-    }
-
-    #[test]
-    fn provenance_round_trip() {
-        let p = Provenance::capture(schema::THROUGHPUT, 99, "default", "cfg x=1 y=2");
-        let doc = parse(&p.to_json()).expect("provenance JSON parses");
-        let back = parse_provenance(&doc).expect("all fields present");
-        assert_eq!(back, p);
     }
 
     #[test]

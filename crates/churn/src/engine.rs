@@ -190,11 +190,6 @@ impl ChurnEngine {
         self.alive[node as usize]
     }
 
-    /// Number of live nodes.
-    pub fn live_count(&self) -> u32 {
-        self.live
-    }
-
     /// Accounting so far.
     pub fn report(&self) -> &ChurnReport {
         &self.report

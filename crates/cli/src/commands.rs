@@ -8,8 +8,8 @@ use paba_core::{
 use paba_mcrunner::{run_parallel_live, LiveRun};
 use paba_popularity::Popularity;
 use paba_repro::churn_experiments::ChurnParams;
-use paba_repro::queueing_experiments::QueueingParams;
-use paba_repro::{ReproConfig, Suite};
+use paba_repro::queueing_experiments::{check_queue, QueueingParams};
+use paba_repro::{check_network, ReproConfig, Suite};
 use paba_telemetry::{
     AtomicRecorder, MetricsServer, NullRecorder, Recorder, Tee, TelemetrySnapshot, TraceReport,
 };
@@ -62,7 +62,6 @@ SIMULATE OPTIONS (defaults in parentheses):
   --requests Q      requests per run (n; trace length for --workload trace)
   --runs R          Monte-Carlo runs (20)
   --seed S          master seed (20170529)
-  --grid            use the bounded grid instead of the torus
   --csv             emit CSV instead of a table
   --telemetry       record sampler-path/timing telemetry and print the breakdown
   --telemetry-out PATH  also write the merged snapshot as JSON (implies --telemetry)
@@ -99,7 +98,8 @@ WORKLOAD GENERATE/INSPECT:
             --workload/--side/--files/--cache/--gamma/--requests/--seed as above
   inspect:  --trace PATH (required), --top N hottest files/origins to list (5)
 
-QUEUE OPTIONS (plus the workload options above):
+QUEUE OPTIONS (plus the workload options above; --workload trace needs --cycle,
+since the engine draws a Poisson number of arrivals):
   --side/--files/--cache/--gamma/--radius/--choices/--seed as above
   --strategy S      nearest | two-choice | d-choice | least-loaded (two-choice)
   --stale P         refresh queue-length info only every P dispatches (1 = fresh)
@@ -123,21 +123,20 @@ PROFILE OPTIONS:
   --requests Q      requests per run (0 = n of the point)
   --out PATH        JSON artifact path (BENCH_profile.json; 'none' skips)
   --baseline PATH   committed throughput artifact for the NullRecorder
-                    non-regression check (BENCH_throughput.json; 'none' skips)
-  --tolerance T     geometric-mean speedup-ratio gate (0.35)
+                    non-regression check, gated at a geometric-mean speedup
+                    ratio of 0.35 (BENCH_throughput.json; 'none' skips)
   --check           fail when the baseline gate fails or no baseline exists
   --csv             emit CSV instead of tables
 
 PROFILE DIFF (paba profile --diff OLD.json NEW.json):
   compares two paba-profile/1 artifacts — per-regime sampler-path shares
   (two-proportion z-test), stage-time ratios, and baseline throughput
-  geo-mean — and exits nonzero when any regression gate trips
-  --diff-z Z        |z| gate for a path-share shift (6)
-  --share-floor F   absolute share delta a shift must also exceed (0.02)
-  --span-ratio R    NEW/OLD mean stage-time ratio gate (3)
-  --speedup-ratio R NEW/OLD speedup geo-mean lower gate (0.5)
+  geo-mean — and exits nonzero when any regression gate trips: a path-share
+  shift with |z| > 6 and |delta| > 0.02, a NEW/OLD mean stage-time ratio
+  above 3, or a NEW/OLD speedup geo-mean below 0.5
 
-TRACE OPTIONS (plus the simulate/workload options above):
+TRACE OPTIONS (plus the simulate/workload options above, except
+--telemetry-out and --trace-out):
   --sample N        keep every N-th request's event (16)
   --reservoir C     instead: uniform reservoir of C events per run
   --stride S        load-series sampling stride in requests (64; 0 = off)
@@ -209,13 +208,13 @@ const SIM_KEYS: &[&str] = &[
     "requests",
     "runs",
     "seed",
-    "grid",
     "csv",
     "telemetry",
-    "telemetry-out",
-    "trace-out",
     "serve-metrics",
 ];
+
+/// Extra option keys accepted by `paba simulate` on top of [`SIM_KEYS`].
+const SIMULATE_KEYS: &[&str] = &["telemetry-out", "trace-out"];
 
 /// Extra option keys accepted by `paba trace` on top of [`SIM_KEYS`].
 const TRACE_KEYS: &[&str] = &[
@@ -316,6 +315,34 @@ fn reject_action(a: &Args) -> Result<(), String> {
     }
 }
 
+/// The dispatch options shared by `paba simulate`, `trace` and `queue`:
+/// the strategy, its choice count `d` (`--choices` for d-choice, else 2)
+/// and the `--stale` refresh period of the load signal.
+struct Dispatch {
+    strategy: String,
+    d: u32,
+    stale: u64,
+}
+
+/// Parse and validate the [`Dispatch`] options.
+fn dispatch(a: &Args) -> Result<Dispatch, String> {
+    let strategy = a.str_or("strategy", "two-choice");
+    let choices: u32 = a.parse_or("choices", 2)?;
+    let stale: u64 = a.parse_or("stale", 1)?;
+    let d = match strategy.as_str() {
+        "nearest" | "two-choice" | "least-loaded" => 2,
+        "d-choice" if choices == 0 => {
+            return Err("--choices must be at least 1 for --strategy d-choice".into())
+        }
+        "d-choice" => choices,
+        other => return Err(format!("--strategy: unknown strategy '{other}'")),
+    };
+    if stale == 0 {
+        return Err("--stale must be a positive refresh period".into());
+    }
+    Ok(Dispatch { strategy, d, stale })
+}
+
 /// Everything one Monte-Carlo run of `paba simulate` needs. Shared by the
 /// recorded (`--telemetry`) and unrecorded paths so both run byte-identical
 /// simulations — recording never touches the RNG stream.
@@ -325,11 +352,9 @@ struct SimRunCfg {
     m: u32,
     gamma: f64,
     radius: Option<u32>,
-    choices: u32,
-    stale: u64,
+    dispatch: Dispatch,
     seed: u64,
     requests_opt: u64,
-    strategy: String,
     placement: String,
     policy: PlacementPolicy,
     spec: WorkloadSpec,
@@ -373,20 +398,16 @@ fn sim_run_one<Rec: Recorder + Clone>(
         // Finite sources (trace replay) default to their length.
         RequestSource::<Torus>::size_hint(&source).unwrap_or(net.n() as u64)
     };
-    match cfg.strategy.as_str() {
+    let (d, stale) = (cfg.dispatch.d, cfg.dispatch.stale);
+    match cfg.dispatch.strategy.as_str() {
         "nearest" => {
             let mut s = NearestReplica::new().with_recorder(rec.clone());
             simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
         }
         "two-choice" | "d-choice" => {
-            let d = if cfg.strategy == "two-choice" {
-                2
-            } else {
-                cfg.choices
-            };
-            if cfg.stale > 1 {
+            if stale > 1 {
                 let inner = ProximityChoice::with_choices(cfg.radius, d).with_recorder(rec.clone());
-                let mut s = StaleLoad::new(inner, cfg.stale);
+                let mut s = StaleLoad::new(inner, stale);
                 simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
             } else {
                 let mut s = ProximityChoice::with_choices(cfg.radius, d).with_recorder(rec.clone());
@@ -453,26 +474,11 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
     let m: u32 = a.parse_or("cache", 10)?;
     let gamma: f64 = a.parse_or("gamma", 0.0)?;
     let radius = a.radius("radius")?;
-    let choices: u32 = a.parse_or("choices", 2)?;
-    let stale: u64 = a.parse_or("stale", 1)?;
     let runs: usize = a.parse_or("runs", 20)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests_opt: u64 = a.parse_or("requests", 0)?;
-    let strategy = a.str_or("strategy", "two-choice");
-    if !matches!(
-        strategy.as_str(),
-        "nearest" | "two-choice" | "d-choice" | "least-loaded"
-    ) {
-        return Err(format!("--strategy: unknown strategy '{strategy}'"));
-    }
+    let dispatch = dispatch(a)?;
     let placement = a.str_or("placement", "proportional");
-    if a.flag("grid") {
-        return Err(
-            "--grid: the CLI currently drives the torus; use the library API \
-                    (CacheNetworkBuilder::build_grid) for grid runs"
-                .into(),
-        );
-    }
 
     let policy = match placement.as_str() {
         "proportional" => PlacementPolicy::ProportionalWithReplacement,
@@ -481,6 +487,20 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
         "dht" => PlacementPolicy::ProportionalWithReplacement, // replaced below
         other => return Err(format!("--placement: unknown policy '{other}'")),
     };
+    // Full replication ignores --cache; every other placement fills it.
+    let cache = (policy != PlacementPolicy::FullLibrary).then_some(m);
+    check_network(side, 1, k, cache, gamma)?;
+    if policy == PlacementPolicy::ProportionalDistinct {
+        // Distinct draws need M files the popularity can reach.
+        let library = paba_core::Library::new(k, popularity(gamma));
+        let drawable = library.weights().iter().filter(|&&w| w > 0.0).count();
+        if m as usize > drawable {
+            return Err(format!(
+                "--cache {m} exceeds the files --placement distinct can draw \
+                 ({drawable} of --files {k} have positive popularity at --gamma {gamma})"
+            ));
+        }
+    }
 
     // Workload selection: parsed and validated once (traces load here),
     // then instantiated fresh for every Monte-Carlo run.
@@ -505,16 +525,55 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
         m,
         gamma,
         radius,
-        choices,
-        stale,
+        dispatch,
         seed,
         requests_opt,
-        strategy,
         placement,
         policy,
         spec,
     };
     Ok((cfg, runs))
+}
+
+/// The traced run shared by `paba simulate --trace-out` and `paba trace`:
+/// every run under its own `TraceRecorder` via
+/// [`paba_mcrunner::run_parallel_traced`], teed into a shared live
+/// recorder when `--serve-metrics` is given so a mid-run scrape sees the
+/// aggregate counters. The endpoint lives for the duration of the runs.
+fn run_traced(
+    a: &Args,
+    cfg: &SimRunCfg,
+    runs: usize,
+    trace_cfg: paba_telemetry::TraceConfig,
+) -> Result<(Vec<SimReport>, TraceReport), String> {
+    let live = a
+        .get("serve-metrics")
+        .is_some()
+        .then(|| LiveRun::new(runs as u64, false));
+    let _server = match &live {
+        Some(l) => spawn_metrics(a, l)?,
+        None => None,
+    };
+    Ok(match &live {
+        // The lazy candidates iterator goes to the trace side, the only
+        // consumer that needs it.
+        Some(l) => paba_mcrunner::run_parallel_traced(
+            runs,
+            cfg.seed,
+            None,
+            Some(l.progress.as_ref()),
+            trace_cfg,
+            |rec, i, rng| sim_run_one(cfg, i, rng, &Tee(rec, l.recorder.as_ref())),
+        ),
+        None => paba_mcrunner::run_parallel_traced(
+            runs,
+            cfg.seed,
+            None,
+            None,
+            trace_cfg,
+            |rec, i, rng| sim_run_one(cfg, i, rng, &rec),
+        ),
+    })
 }
 
 /// `paba simulate`.
@@ -530,7 +589,7 @@ pub(crate) fn simulate_cmd_impl(
     ),
     String,
 > {
-    let (cfg, runs) = sim_cfg_from_args(a, &[])?;
+    let (cfg, runs) = sim_cfg_from_args(a, SIMULATE_KEYS)?;
     let seed = cfg.seed;
     let telemetry = a.flag("telemetry") || a.get("telemetry-out").is_some();
     let tracing = a.get("trace-out").is_some();
@@ -548,33 +607,7 @@ pub(crate) fn simulate_cmd_impl(
             max_events: 4096,
             seed,
         };
-        let live = serving.then(|| LiveRun::new(runs as u64, false));
-        let _server = match &live {
-            Some(l) => spawn_metrics(a, l)?,
-            None => None,
-        };
-        let (reports, report) = match &live {
-            // `/metrics` needs a recorder it can snapshot mid-run, so tee
-            // every worker's TraceRecorder into the shared live one; the
-            // lazy candidates iterator goes to the trace side, which is
-            // the only consumer that needs it.
-            Some(l) => paba_mcrunner::run_parallel_traced(
-                runs,
-                seed,
-                None,
-                Some(l.progress.as_ref()),
-                trace_cfg,
-                |rec, i, rng| sim_run_one(&cfg, i, rng, &Tee(rec, l.recorder.as_ref())),
-            ),
-            None => paba_mcrunner::run_parallel_traced(
-                runs,
-                seed,
-                None,
-                None,
-                trace_cfg,
-                |rec, i, rng| sim_run_one(&cfg, i, rng, &rec),
-            ),
-        };
+        let (reports, report) = run_traced(a, &cfg, runs, trace_cfg)?;
         let snap = telemetry.then(|| report.snapshot.clone());
         (reports, snap, Some(report))
     } else if serving {
@@ -715,34 +748,7 @@ pub fn trace(a: &Args) -> Result<(), String> {
         seed: cfg.seed,
     };
     let stride = trace_cfg.stride;
-    let live = a
-        .get("serve-metrics")
-        .is_some()
-        .then(|| LiveRun::new(runs as u64, false));
-    let _server = match &live {
-        Some(l) => spawn_metrics(a, l)?,
-        None => None,
-    };
-    let (reports, report) = match &live {
-        // Tee each worker's TraceRecorder into the shared live recorder
-        // so mid-run scrapes see the aggregate counters.
-        Some(l) => paba_mcrunner::run_parallel_traced(
-            runs,
-            cfg.seed,
-            None,
-            Some(l.progress.as_ref()),
-            trace_cfg,
-            |rec, i, rng| sim_run_one(&cfg, i, rng, &Tee(rec, l.recorder.as_ref())),
-        ),
-        None => paba_mcrunner::run_parallel_traced(
-            runs,
-            cfg.seed,
-            None,
-            None,
-            trace_cfg,
-            |rec, i, rng| sim_run_one(&cfg, i, rng, &rec),
-        ),
-    };
+    let (reports, report) = run_traced(a, &cfg, runs, trace_cfg)?;
 
     let events_out = a.str_or("events-out", "none");
     let series_out = a.str_or("series-out", "none");
@@ -844,26 +850,22 @@ pub fn queue(a: &Args) -> Result<(), String> {
     let m: u32 = a.parse_or("cache", 8)?;
     let gamma: f64 = a.parse_or("gamma", 0.0)?;
     let radius = a.radius("radius")?;
-    let choices: u32 = a.parse_or("choices", 2)?;
-    let stale: u64 = a.parse_or("stale", 1)?;
     let stride: u64 = a.parse_or("stride", 0)?;
     let lambda: f64 = a.parse_or("lambda", 0.8)?;
     let horizon: f64 = a.parse_or("horizon", 2_000.0)?;
     let warmup: f64 = a.parse_or("warmup", 500.0)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    let strategy = a.str_or("strategy", "two-choice");
-    if !(0.0..1.0).contains(&lambda) || lambda == 0.0 {
-        return Err(format!("--lambda must be in (0,1), got {lambda}"));
-    }
-    if warmup >= horizon {
-        return Err(format!(
-            "--warmup must precede --horizon ({warmup} >= {horizon})"
-        ));
-    }
-    if stale == 0 {
-        return Err("--stale must be a positive refresh period".into());
-    }
+    let Dispatch { strategy, d, stale } = dispatch(a)?;
+    check_network(side, 1, k, Some(m), gamma)?;
+    check_queue(lambda, horizon, warmup)?;
     let spec = workload_spec(a)?;
+    if let WorkloadSpec::Replay { cycle: false, .. } = spec {
+        return Err(
+            "--workload trace needs --cycle in paba queue: the engine draws a Poisson \
+             number of arrivals, so a finite trace can always run out"
+                .into(),
+        );
+    }
     spec.validate(side * side, k)?;
 
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -886,7 +888,6 @@ pub fn queue(a: &Args) -> Result<(), String> {
             paba_supermarket::simulate_queueing_source(&net, &mut s, &mut source, &cfg, &mut rng)
         }
         "two-choice" | "d-choice" => {
-            let d = if strategy == "two-choice" { 2 } else { choices };
             if stale > 1 {
                 let mut s = StaleLoad::new(ProximityChoice::with_choices(radius, d), stale);
                 paba_supermarket::simulate_queueing_source(
@@ -911,7 +912,7 @@ pub fn queue(a: &Args) -> Result<(), String> {
             let mut s = LeastLoadedInBall::new(radius);
             paba_supermarket::simulate_queueing_source(&net, &mut s, &mut source, &cfg, &mut rng)
         }
-        other => return Err(format!("--strategy: unknown strategy '{other}'")),
+        other => unreachable!("strategy '{other}' was validated above"),
     };
 
     let mut t = Table::new(["metric", "value"]);
@@ -1092,29 +1093,12 @@ pub fn profile(a: &Args) -> Result<(), String> {
             .action
             .as_deref()
             .ok_or("--diff needs two artifacts: paba profile --diff OLD.json NEW.json")?;
-        let unknown = a.unknown_keys(&[
-            "diff",
-            "diff-z",
-            "share-floor",
-            "span-ratio",
-            "speedup-ratio",
-            "csv",
-        ]);
+        let unknown = a.unknown_keys(&["diff", "csv"]);
         if !unknown.is_empty() {
             return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
         }
-        let defaults = paba_bench::diff::DiffGates::default();
-        let gates = paba_bench::diff::DiffGates {
-            z: a.parse_or("diff-z", defaults.z)?,
-            share_floor: a.parse_or("share-floor", defaults.share_floor)?,
-            span_ratio: a.parse_or("span-ratio", defaults.span_ratio)?,
-            speedup_ratio: a.parse_or("speedup-ratio", defaults.speedup_ratio)?,
-        };
-        let diff = paba_bench::diff::diff_files(
-            std::path::Path::new(old),
-            std::path::Path::new(new),
-            gates,
-        )?;
+        let diff =
+            paba_bench::diff::diff_files(std::path::Path::new(old), std::path::Path::new(new))?;
         let t = paba_bench::diff::diff_table(&diff);
         if a.flag("csv") {
             print!("{}", t.to_csv());
@@ -1127,25 +1111,18 @@ pub fn profile(a: &Args) -> Result<(), String> {
             diff.compared_labels, regressions
         );
         if regressions > 0 {
+            use paba_bench::diff::{SHARE_FLOOR, SPAN_RATIO, SPEEDUP_RATIO, Z_GATE};
             return Err(format!(
                 "{regressions} regression(s) between {old} and {new} \
-                 (gates: z>{:.1}, share>{:.3}, span ratio>{:.2}, speedup ratio<{:.2})",
-                gates.z, gates.share_floor, gates.span_ratio, gates.speedup_ratio
+                 (gates: z>{Z_GATE:.1}, share>{SHARE_FLOOR:.3}, span ratio>{SPAN_RATIO:.2}, \
+                 speedup ratio<{SPEEDUP_RATIO:.2})"
             ));
         }
         return Ok(());
     }
     reject_action(a)?;
     let unknown = a.unknown_keys(&[
-        "scale",
-        "seed",
-        "runs",
-        "requests",
-        "out",
-        "baseline",
-        "tolerance",
-        "check",
-        "csv",
+        "scale", "seed", "runs", "requests", "out", "baseline", "check", "csv",
     ]);
     if !unknown.is_empty() {
         return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
@@ -1159,8 +1136,6 @@ pub fn profile(a: &Args) -> Result<(), String> {
     let requests: u64 = a.parse_or("requests", 0)?;
     let out = a.str_or("out", "BENCH_profile.json");
     let baseline_path = a.str_or("baseline", "BENCH_throughput.json");
-    let tolerance: f64 =
-        a.parse_or("tolerance", paba_bench::profile::DEFAULT_BASELINE_TOLERANCE)?;
     let check = a.flag("check");
 
     let points = paba_bench::profile::run_profile(scale, seed, runs, requests, None);
@@ -1180,7 +1155,7 @@ pub fn profile(a: &Args) -> Result<(), String> {
             std::path::Path::new(&baseline_path),
             scale,
             seed,
-            tolerance,
+            paba_bench::profile::DEFAULT_BASELINE_TOLERANCE,
         )?
     };
     if let Some(b) = &baseline {
@@ -1503,6 +1478,7 @@ fn workload_generate(a: &Args) -> Result<(), String> {
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests_opt: u64 = a.parse_or("requests", 0)?;
     let out = a.get("out").ok_or("workload generate needs --out <path>")?;
+    check_network(side, 1, k, Some(m), gamma)?;
     let spec = workload_spec(a)?;
     spec.validate(side * side, k)?;
 
@@ -1816,20 +1792,20 @@ mod tests {
         ));
         profile(&a).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
-        let doc = paba_repro::json::parse(&json).expect("artifact parses");
+        let doc = paba_util::json::parse(&json).expect("artifact parses");
         assert_eq!(
-            doc.get("schema").and_then(paba_repro::json::Json::as_str),
+            doc.get("schema").and_then(paba_util::json::Json::as_str),
             Some("paba-profile/1")
         );
         // Every point's sampler-path counters sum to its request count.
         for p in doc
             .get("points")
-            .and_then(paba_repro::json::Json::as_arr)
+            .and_then(paba_util::json::Json::as_arr)
             .unwrap()
         {
             let requests = p
                 .get("requests")
-                .and_then(paba_repro::json::Json::as_u64)
+                .and_then(paba_util::json::Json::as_u64)
                 .unwrap();
             let paths = p.get("telemetry").unwrap().get("sampler_paths").unwrap();
             let sum: u64 = paba_telemetry::SamplerPath::ALL
@@ -1837,7 +1813,7 @@ mod tests {
                 .map(|sp| {
                     paths
                         .get(sp.label())
-                        .and_then(paba_repro::json::Json::as_u64)
+                        .and_then(paba_util::json::Json::as_u64)
                         .unwrap()
                 })
                 .sum();
@@ -2095,6 +2071,108 @@ mod tests {
         }
     }
 
+    /// Run a `simulate`, `trace`, `queue` or `workload` command line.
+    fn run_cmd(cmd: &str) -> Result<(), String> {
+        let a = args(cmd);
+        match a.command.as_deref() {
+            Some("simulate") => simulate_cmd_impl(&a).map(drop),
+            Some("trace") => trace(&a),
+            Some("queue") => queue(&a),
+            Some("workload") => workload(&a),
+            other => panic!("not a run command: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn commands_reject_invalid_regimes() {
+        // The run commands share the suites' regime checks: each input
+        // must come back as an error naming its flag, never as a worker
+        // panic, a hang, a misreported window or a silent fresh run.
+        let dir = std::env::temp_dir().join(format!("paba_cli_regimes_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_path = dir.join("t.trace").display().to_string();
+        let out = dir.join("out.trace").display().to_string();
+        run_cmd(&format!(
+            "workload generate --side 8 --files 20 --requests 1000 --out {trace_path}"
+        ))
+        .unwrap();
+        let finite = "queue --side 8 --files 20 --workload trace --trace {trace} \
+                      --horizon 200 --warmup 50";
+        for (cmd, flag) in [
+            ("simulate --side 0", "--side"),
+            ("simulate --side 50000", "--side"),
+            ("simulate --files 0", "--files"),
+            ("simulate --cache 0", "--cache"),
+            ("simulate --gamma -1", "--gamma"),
+            ("simulate --gamma nan", "--gamma"),
+            ("simulate --strategy d-choice --choices 0", "--choices"),
+            (
+                "simulate --placement distinct --files 5 --cache 10",
+                "--cache",
+            ),
+            // Zipf weights past the first file underflow to zero.
+            (
+                "simulate --placement distinct --gamma 1100 --files 5 --cache 2",
+                "--cache",
+            ),
+            ("simulate --stale 0", "--stale"),
+            ("trace --side 0", "--side"),
+            ("queue --side 0", "--side"),
+            ("queue --files 0", "--files"),
+            ("queue --cache 0", "--cache"),
+            ("queue --gamma -1", "--gamma"),
+            ("queue --strategy d-choice --choices 0", "--choices"),
+            ("queue --horizon inf", "--horizon"),
+            ("queue --warmup -5 --horizon 10", "--warmup"),
+            (finite, "--cycle"),
+            ("workload generate --side 0 --out {out}", "--side"),
+            ("workload generate --files 0 --out {out}", "--files"),
+            ("workload generate --cache 0 --out {out}", "--cache"),
+        ] {
+            let cmd = cmd.replace("{trace}", &trace_path).replace("{out}", &out);
+            let err = run_cmd(&cmd).unwrap_err();
+            assert!(err.contains(flag), "{cmd}: {err}");
+        }
+        // --cache is checked only where the placement uses it, and a
+        // cycled trace still serves the queue.
+        run_cmd("simulate --side 6 --files 10 --cache 0 --runs 2 --placement full").unwrap();
+        run_cmd(&format!(
+            "{} --cycle",
+            finite.replace("{trace}", &trace_path)
+        ))
+        .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn removed_overrides_are_unknown_options() {
+        for (cmd, flag) in [
+            ("simulate --grid", "grid"),
+            ("profile --tolerance 0.5 --out none", "tolerance"),
+            ("profile --diff a.json b.json --diff-z 3", "diff-z"),
+            (
+                "profile --diff a.json b.json --share-floor 0.1",
+                "share-floor",
+            ),
+            ("profile --diff a.json b.json --span-ratio 2", "span-ratio"),
+            (
+                "profile --diff a.json b.json --speedup-ratio 0.9",
+                "speedup-ratio",
+            ),
+        ] {
+            let a = args(cmd);
+            let err = match a.command.as_deref() {
+                Some("profile") => profile(&a),
+                _ => simulate(&a),
+            }
+            .unwrap_err();
+            assert!(
+                err.contains("unknown option") && err.contains(flag),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn churn_rejects_bad_options() {
         assert!(suite_cmd("churn --sacle quick")
@@ -2178,32 +2256,32 @@ mod tests {
         let jsonl = std::fs::read_to_string(&events).unwrap();
         assert!(!jsonl.is_empty());
         for line in jsonl.lines() {
-            let ev = paba_repro::json::parse(line).expect("event line parses");
+            let ev = paba_util::json::parse(line).expect("event line parses");
             assert!(ev.get("request").is_some(), "{line}");
             assert!(ev.get("server").is_some(), "{line}");
         }
         // The series artifact carries its schema plus per-run and mean series.
-        let doc = paba_repro::json::parse(&std::fs::read_to_string(&series).unwrap()).unwrap();
+        let doc = paba_util::json::parse(&std::fs::read_to_string(&series).unwrap()).unwrap();
         assert_eq!(
-            doc.get("schema").and_then(paba_repro::json::Json::as_str),
+            doc.get("schema").and_then(paba_util::json::Json::as_str),
             Some("paba-trace-series/1")
         );
         let runs = doc
             .get("runs")
-            .and_then(paba_repro::json::Json::as_arr)
+            .and_then(paba_util::json::Json::as_arr)
             .unwrap();
         assert_eq!(runs.len(), 2);
         assert!(doc.get("mean").is_some());
         // The Chrome trace is a trace_event document with complete events.
-        let ct = paba_repro::json::parse(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
+        let ct = paba_util::json::parse(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
         let evs = ct
             .get("traceEvents")
-            .and_then(paba_repro::json::Json::as_arr)
+            .and_then(paba_util::json::Json::as_arr)
             .unwrap();
         assert!(!evs.is_empty());
         for e in evs {
             assert_eq!(
-                e.get("ph").and_then(paba_repro::json::Json::as_str),
+                e.get("ph").and_then(paba_util::json::Json::as_str),
                 Some("X")
             );
         }
@@ -2220,6 +2298,11 @@ mod tests {
         assert!(trace(&a).unwrap_err().contains("smaple"));
         let a = args("trace --side 6 --files 12 --sample 0");
         assert!(trace(&a).unwrap_err().contains("--sample"));
+        // simulate's artifact options are not trace's: refused, not ignored.
+        for flag in ["trace-out", "telemetry-out"] {
+            let a = args(&format!("trace --side 6 --files 12 --{flag} x.json"));
+            assert!(trace(&a).unwrap_err().contains(flag), "{flag}");
+        }
     }
 
     #[test]
@@ -2237,7 +2320,7 @@ mod tests {
         // --trace-out samples every request: side 6 → 36 requests × 2 runs.
         assert_eq!(jsonl.lines().count(), 2 * 36);
         for line in jsonl.lines() {
-            paba_repro::json::parse(line).expect("event line parses");
+            paba_util::json::parse(line).expect("event line parses");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -2262,17 +2345,17 @@ mod tests {
         .unwrap();
         // Doctor one path counter far beyond any noise gate.
         let text = std::fs::read_to_string(&old).unwrap();
-        let doc = paba_repro::json::parse(&text).unwrap();
+        let doc = paba_util::json::parse(&text).unwrap();
         let n = doc
             .get("points")
-            .and_then(paba_repro::json::Json::as_arr)
+            .and_then(paba_util::json::Json::as_arr)
             .unwrap()[0]
             .get("telemetry")
             .unwrap()
             .get("sampler_paths")
             .unwrap()
             .get("exact-scan")
-            .and_then(paba_repro::json::Json::as_u64)
+            .and_then(paba_util::json::Json::as_u64)
             .unwrap();
         let doctored_text =
             text.replacen(&format!("\"exact-scan\":{n}"), "\"exact-scan\":999999", 1);

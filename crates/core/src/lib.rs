@@ -58,10 +58,7 @@ pub use metrics::{FallbackKind, SimReport};
 pub use network::{CacheNetwork, CacheNetworkBuilder};
 pub use placement::{Placement, PlacementPolicy};
 pub use request::{apply_uncached_policy, Request, UncachedPolicy};
-pub use simulate::{
-    simulate, simulate_observed, simulate_source, simulate_source_observed,
-    simulate_source_profiled, simulate_with_policy,
-};
+pub use simulate::{simulate, simulate_source, simulate_source_profiled};
 pub use source::{IidUniform, RequestSource};
 pub use strategy::{
     Assignment, LeastLoadedInBall, NearestReplica, PairMode, ProximityChoice, RadiusFallback,
@@ -72,9 +69,8 @@ pub use voronoi::{VoronoiCells, VoronoiComputer};
 /// Convenience re-exports for downstream users.
 pub mod prelude {
     pub use crate::{
-        simulate, simulate_observed, simulate_source, CacheNetwork, IidUniform, Library,
-        NearestReplica, Placement, PlacementPolicy, ProximityChoice, RequestSource, SimReport,
-        Strategy,
+        simulate, simulate_source, CacheNetwork, IidUniform, Library, NearestReplica, Placement,
+        PlacementPolicy, ProximityChoice, RequestSource, SimReport, Strategy,
     };
     pub use paba_popularity::Popularity;
     pub use paba_topology::{Grid, Topology, Torus};

@@ -3,70 +3,42 @@
 //! Replays the paper's experiment loop: `requests` sequential requests
 //! (origin uniform, file popularity-distributed), each assigned by the
 //! strategy *given the loads accumulated so far* — the sequential
-//! balls-into-bins dynamic all the theorems are about.
+//! balls-into-bins dynamic all the theorems are about. One loop,
+//! [`simulate_source_profiled`], serves every entry point; the strategy,
+//! the uncached-file policy (carried by the source) and the workload are
+//! its parameters.
 
 use crate::metrics::SimReport;
 use crate::network::CacheNetwork;
-use crate::request::{Request, UncachedPolicy};
+use crate::request::UncachedPolicy;
 use crate::source::{IidUniform, RequestSource};
-use crate::strategy::{Assignment, Strategy};
-use paba_telemetry::{Recorder, SpanTimer, Stage};
+use crate::strategy::Strategy;
+use paba_telemetry::{NullRecorder, Recorder, SpanTimer, Stage};
 use paba_topology::Topology;
 use rand::Rng;
 
-/// Run `requests` sequential requests through `strategy` and return the
-/// aggregated [`SimReport`].
-///
-/// Uses [`UncachedPolicy::ResampleFile`] (the workspace default — see
-/// DESIGN.md §5); use [`simulate_with_policy`] to override.
+/// Run `requests` sequential requests of the paper's workload
+/// ([`IidUniform`] with [`UncachedPolicy::ResampleFile`], the workspace
+/// default — see DESIGN.md §5) through `strategy` and return the
+/// aggregated [`SimReport`]. For another policy or workload, pass its
+/// source to [`simulate_source`].
 pub fn simulate<T: Topology, S: Strategy<T>, R: Rng + ?Sized>(
     net: &CacheNetwork<T>,
     strategy: &mut S,
     requests: u64,
     rng: &mut R,
 ) -> SimReport {
-    simulate_with_policy(net, strategy, requests, UncachedPolicy::ResampleFile, rng)
-}
-
-/// [`simulate`] with an explicit uncached-file policy.
-pub fn simulate_with_policy<T: Topology, S: Strategy<T>, R: Rng + ?Sized>(
-    net: &CacheNetwork<T>,
-    strategy: &mut S,
-    requests: u64,
-    policy: UncachedPolicy,
-    rng: &mut R,
-) -> SimReport {
-    simulate_observed(net, strategy, requests, policy, rng, |_, _| {})
-}
-
-/// [`simulate`] variant invoking `observer(request, assignment)` after
-/// every decision — used by tests and by experiments needing per-request
-/// traces (e.g. the Lemma 3 edge-frequency check).
-pub fn simulate_observed<T, S, R, F>(
-    net: &CacheNetwork<T>,
-    strategy: &mut S,
-    requests: u64,
-    policy: UncachedPolicy,
-    rng: &mut R,
-    observer: F,
-) -> SimReport
-where
-    T: Topology,
-    S: Strategy<T>,
-    R: Rng + ?Sized,
-    F: FnMut(Request, Assignment),
-{
-    let mut source = IidUniform::with_policy(policy);
-    simulate_source_observed(net, strategy, &mut source, requests, rng, observer)
+    let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+    simulate_source(net, strategy, &mut source, requests, rng)
 }
 
 /// Run `requests` sequential requests drawn from an arbitrary
-/// [`RequestSource`] through `strategy`.
+/// [`RequestSource`] through `strategy`: [`simulate_source_profiled`]
+/// without a recorder.
 ///
-/// This is the primitive every other `simulate*` entry point wraps; the
-/// legacy entry points are thin wrappers over [`IidUniform`]. For a finite
-/// source (e.g. a trace replay), `requests` may not exceed the source's
-/// remaining length — finite sources panic when drawn past the end.
+/// For a finite source (e.g. a trace replay), `requests` may not exceed
+/// the source's remaining length — finite sources panic when drawn past
+/// the end.
 pub fn simulate_source<T, S, W, R>(
     net: &CacheNetwork<T>,
     strategy: &mut S,
@@ -80,18 +52,21 @@ where
     W: RequestSource<T>,
     R: Rng + ?Sized,
 {
-    simulate_source_observed(net, strategy, source, requests, rng, |_, _| {})
+    simulate_source_profiled(net, strategy, source, requests, rng, &NullRecorder)
 }
 
-/// [`simulate_source`] with stage-level span timing and per-request load
-/// observation: the whole request loop runs inside a [`Stage::AssignLoop`]
-/// span on `rec`, and after each request is recorded `rec` observes the
-/// full load vector via [`Recorder::loads`] (feeding load-evolution time
-/// series; a no-op for recorders that don't collect them).
+/// The request loop: [`simulate_source`] with stage-level span timing and
+/// per-request load observation. The whole loop runs inside a
+/// [`Stage::AssignLoop`] span on `rec`, and after each request is
+/// recorded `rec` observes the full load vector via [`Recorder::loads`]
+/// (feeding load-evolution time series; a no-op for recorders that don't
+/// collect them). With [`NullRecorder`] both compile away.
 ///
 /// The recorder passed here times the loop and watches loads; to
-/// additionally count sampler paths the *strategy* must carry a recorder
-/// too (see `ProximityChoice::with_recorder`) — typically the same one.
+/// additionally count sampler paths or see each request and its
+/// assignment ([`Recorder::request`]) the *strategy* must carry a
+/// recorder too (see `ProximityChoice::with_recorder`) — typically the
+/// same one.
 pub fn simulate_source_profiled<T, S, W, R, Rec>(
     net: &CacheNetwork<T>,
     strategy: &mut S,
@@ -122,42 +97,16 @@ where
     report
 }
 
-/// [`simulate_source`] invoking `observer(request, assignment)` after
-/// every decision.
-pub fn simulate_source_observed<T, S, W, R, F>(
-    net: &CacheNetwork<T>,
-    strategy: &mut S,
-    source: &mut W,
-    requests: u64,
-    rng: &mut R,
-    mut observer: F,
-) -> SimReport
-where
-    T: Topology,
-    S: Strategy<T>,
-    W: RequestSource<T>,
-    R: Rng + ?Sized,
-    F: FnMut(Request, Assignment),
-{
-    let mut report = SimReport::new(net.n());
-    for _ in 0..requests {
-        let req = source.next_request(net, rng);
-        let a = strategy.assign(net, &report.loads, req, rng);
-        report.record(a.server, a.hops, a.fallback);
-        observer(req, a);
-    }
-    debug_assert!(report.check_conservation());
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::{NearestReplica, ProximityChoice};
     use paba_popularity::Popularity;
+    use paba_telemetry::{Counter, SamplerPath};
     use paba_topology::Torus;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
 
     fn net(seed: u64) -> CacheNetwork<Torus> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -179,25 +128,42 @@ mod tests {
         assert!(rep.max_load() >= (300 / net.n()).max(1));
     }
 
+    /// Every `(origin, server, hops)` a strategy reports through its
+    /// recorder's [`Recorder::request`] hook.
+    #[derive(Default)]
+    struct Seen(RefCell<Vec<(u64, u64, u32)>>);
+
+    impl Recorder for Seen {
+        const ENABLED: bool = true;
+        fn path(&self, _path: SamplerPath) {}
+        fn count(&self, _counter: Counter, _delta: u64) {}
+        fn pool_size(&self, _size: usize) {}
+        fn span_ns(&self, _stage: Stage, _nanos: u64) {}
+        fn request(
+            &self,
+            _file: u64,
+            origin: u64,
+            server: u64,
+            hops: u32,
+            _candidates: &mut dyn Iterator<Item = (u64, u32)>,
+        ) {
+            self.0.borrow_mut().push((origin, server, hops));
+        }
+    }
+
     #[test]
     fn observer_sees_every_request() {
         let net = net(3);
-        let mut s = ProximityChoice::two_choice(Some(2));
+        let seen = Seen::default();
+        let mut s = ProximityChoice::two_choice(Some(2)).with_recorder(&seen);
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut seen = 0u64;
-        let rep = simulate_observed(
-            &net,
-            &mut s,
-            123,
-            UncachedPolicy::ResampleFile,
-            &mut rng,
-            |req, a| {
-                seen += 1;
-                assert!(req.origin < net.n());
-                assert_eq!(a.hops, net.topo().dist(req.origin, a.server));
-            },
-        );
-        assert_eq!(seen, 123);
+        let rep = simulate(&net, &mut s, 123, &mut rng);
+        let seen = seen.0.take();
+        assert_eq!(seen.len(), 123);
+        for (origin, server, hops) in seen {
+            assert!(origin < u64::from(net.n()));
+            assert_eq!(hops, net.topo().dist(origin as u32, server as u32));
+        }
         assert_eq!(rep.total_requests, 123);
     }
 
@@ -236,13 +202,8 @@ mod tests {
             .cache_size(1)
             .build(&mut rng);
         let mut s = NearestReplica::new();
-        let rep = simulate_with_policy(
-            &sparse,
-            &mut s,
-            2000,
-            UncachedPolicy::ServeAtOrigin,
-            &mut rng,
-        );
+        let mut source = IidUniform::with_policy(UncachedPolicy::ServeAtOrigin);
+        let rep = simulate_source(&sparse, &mut s, &mut source, 2000, &mut rng);
         assert!(rep.uncached > 0, "this regime must hit uncached files");
         assert!(rep.check_conservation());
     }

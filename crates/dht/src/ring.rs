@@ -57,14 +57,6 @@ impl HashRing {
         mix64(key ^ self.salt.rotate_left(17))
     }
 
-    /// Number of distinct servers on the ring.
-    pub fn server_count(&self) -> u32 {
-        let mut seen: Vec<u32> = self.points.iter().map(|&(_, s)| s).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len() as u32
-    }
-
     /// Virtual nodes per server.
     pub fn vnodes(&self) -> u32 {
         self.vnodes

@@ -34,6 +34,6 @@ pub mod traced;
 
 pub use live::{run_parallel_live, LiveRun};
 pub use progress::Progress;
-pub use runner::{run_parallel, run_parallel_with_progress, run_parallel_with_state, summarize};
+pub use runner::{run_parallel, run_parallel_with_state, summarize};
 pub use sweep::{sweep, sweep_summaries, PointSummary, SweepOutcome};
 pub use traced::run_parallel_traced;

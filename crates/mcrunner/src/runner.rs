@@ -23,34 +23,19 @@ where
     O: Send,
     F: Fn(usize, &mut SmallRng) -> O + Sync,
 {
-    run_parallel_with_progress(runs, master_seed, threads, None, run_fn)
-}
-
-/// [`run_parallel`] with an optional shared [`Progress`] tracker that is
-/// ticked once per completed run.
-pub fn run_parallel_with_progress<O, F>(
-    runs: usize,
-    master_seed: u64,
-    threads: Option<usize>,
-    progress: Option<&Progress>,
-    run_fn: F,
-) -> Vec<O>
-where
-    O: Send,
-    F: Fn(usize, &mut SmallRng) -> O + Sync,
-{
     run_parallel_with_state(
         runs,
         master_seed,
         threads,
-        progress,
+        None,
         || (),
         |&(), i, rng| run_fn(i, rng),
     )
     .0
 }
 
-/// [`run_parallel_with_progress`] variant giving each worker thread its
+/// The runner: [`run_parallel`] with an optional shared [`Progress`]
+/// tracker, ticked once per completed run, and with each worker thread's
 /// own state built by `init` — e.g. a telemetry recorder — returned
 /// alongside the outputs for post-join merging. Every other runner in
 /// this crate is built on this one.
@@ -218,13 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_ticks_once_per_run() {
-        let p = Progress::new(120, false);
-        let _ = run_parallel_with_progress(120, 1, Some(4), Some(&p), |i, _| i);
-        assert_eq!(p.completed(), 120);
-    }
-
-    #[test]
     fn with_state_outputs_match_stateless_runner() {
         let f = |_i: usize, rng: &mut SmallRng| rng.gen_range(0..1_000_000u64);
         let plain = run_parallel(257, 99, Some(3), f);
@@ -268,6 +246,13 @@ mod tests {
             run_parallel_with_state(0, 0, None, None, || (), |&(), _, _| 1);
         assert!(outs.is_empty());
         assert!(states.is_empty());
+    }
+
+    #[test]
+    fn progress_ticks_once_per_run() {
+        let p = Progress::new(120, false);
+        let _ = run_parallel_with_state(120, 1, Some(4), Some(&p), || (), |&(), i, _| i);
+        assert_eq!(p.completed(), 120);
     }
 
     #[test]

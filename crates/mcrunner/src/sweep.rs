@@ -8,7 +8,7 @@
 //! run_index)`.
 
 use crate::progress::Progress;
-use crate::runner::run_parallel_with_progress;
+use crate::runner::run_parallel_with_state;
 use paba_util::{mix_seed, Summary};
 use rand::rngs::SmallRng;
 
@@ -50,12 +50,13 @@ where
     let total = points.len() * runs_per_point;
     let progress = Progress::new(total as u64, verbose);
     // Flatten to a single work grid: job i ↦ (point i / runs, run i % runs).
-    let flat: Vec<O> = run_parallel_with_progress(
+    let (flat, _): (Vec<O>, _) = run_parallel_with_state(
         total,
         master_seed,
         threads,
         Some(&progress),
-        |job, _outer_rng| {
+        || (),
+        |&(), job, _outer_rng| {
             let (pi, ri) = (job / runs_per_point, job % runs_per_point);
             // Re-derive a seed that is stable per (point, run) regardless of
             // how many points/runs other sweeps used.

@@ -17,8 +17,8 @@
 //! standard errors, z explodes). Id-set or schema drift is a hard error:
 //! it means the suite itself changed and the golden must be regenerated.
 
-use crate::json::{self, Json};
 use paba_util::envcfg::Scale;
+use paba_util::json::{self, Json};
 use paba_util::Provenance;
 
 /// Current artifact schema identifier (shared with every reader via
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn written_artifact_carries_matching_provenance() {
         let json = sample().to_json();
-        let doc = crate::json::parse(&json).unwrap();
+        let doc = json::parse(&json).unwrap();
         let prov = doc.get("provenance").expect("provenance block present");
         assert_eq!(prov.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(prov.get("seed").and_then(Json::as_u64), Some(7));
@@ -509,7 +509,7 @@ mod tests {
         // …the explicit one accepts it, and provenance follows suit.
         let parsed = Artifact::from_json_expecting(&json, paba_util::schema::CHURN).unwrap();
         assert_eq!(parsed, a);
-        let doc = crate::json::parse(&json).unwrap();
+        let doc = json::parse(&json).unwrap();
         let prov = doc.get("provenance").expect("provenance block present");
         assert_eq!(
             prov.get("schema").and_then(Json::as_str),

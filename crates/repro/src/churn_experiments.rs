@@ -133,7 +133,7 @@ impl Regime {
             },
         };
         // A schedule cycles at least one node and keeps at least one up.
-        check_network(r.side, 2, r.k, r.m, r.gamma)?;
+        check_network(r.side, 2, r.k, Some(r.m), r.gamma)?;
         if r.replication == 0 {
             // Zero replicas would place nothing on insert and hand off
             // nothing on leave: not a regime, a typo.

@@ -34,7 +34,6 @@
 pub mod artifact;
 pub mod churn_experiments;
 pub mod experiments;
-pub mod json;
 pub mod queueing_experiments;
 
 pub use artifact::{check, Artifact, CheckReport, Gate, Metric, DEFAULT_CHECK_Z, SCHEMA};
@@ -166,9 +165,19 @@ impl Suite {
 }
 
 /// Reject a network regime the cache-network builder cannot realise:
-/// a torus side outside `min_side..=Torus::MAX_SIDE`, an empty library or
-/// cache, or a Zipf exponent that is not finite and non-negative.
-fn check_network(side: u32, min_side: u32, k: u32, m: u32, gamma: f64) -> Result<(), String> {
+/// a torus side outside `min_side..=Torus::MAX_SIDE`, an empty library,
+/// an empty cache, or a Zipf exponent that is not finite and
+/// non-negative. `cache` is `None` for a placement that ignores it (full
+/// replication). Errors name the CLI flag of the bad value. This is the
+/// one copy of these checks: the suites and the `paba simulate`,
+/// `trace`, `queue` and `workload generate` commands all call it.
+pub fn check_network(
+    side: u32,
+    min_side: u32,
+    k: u32,
+    cache: Option<u32>,
+    gamma: f64,
+) -> Result<(), String> {
     let max_side = paba_topology::Torus::MAX_SIDE;
     if !(min_side..=max_side).contains(&side) {
         return Err(format!(
@@ -178,7 +187,7 @@ fn check_network(side: u32, min_side: u32, k: u32, m: u32, gamma: f64) -> Result
     if k == 0 {
         return Err("--files must be a positive library size".into());
     }
-    if m == 0 {
+    if cache == Some(0) {
         return Err("--cache must be a positive cache size".into());
     }
     if !(gamma.is_finite() && gamma >= 0.0) {

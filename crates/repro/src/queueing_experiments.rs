@@ -140,28 +140,36 @@ impl Regime {
             // Saturating: `side` is only range-checked below.
             stale_period: p.stale_period.unwrap_or(n.saturating_mul(4)),
         };
-        check_network(r.side, 1, r.k, r.m, r.gamma)?;
-        if !(r.lambda > 0.0 && r.lambda < 1.0) {
-            return Err(format!("--lambda must be in (0,1), got {}", r.lambda));
-        }
-        if !r.horizon.is_finite() {
-            return Err(format!(
-                "--horizon must be a finite simulated time, got {}",
-                r.horizon
-            ));
-        }
-        if !(0.0..r.horizon).contains(&r.warmup) {
-            return Err(format!(
-                "--warmup must be non-negative and precede --horizon, got warmup {} \
-                 and horizon {}",
-                r.warmup, r.horizon
-            ));
-        }
+        check_network(r.side, 1, r.k, Some(r.m), r.gamma)?;
+        check_queue(r.lambda, r.horizon, r.warmup)?;
         if r.stale_period == 0 {
             return Err("--stale-period must be a positive dispatch count".into());
         }
         Ok(r)
     }
+}
+
+/// Reject an arrival rate or measurement window the queueing engine
+/// cannot run: λ outside (0, 1), a horizon that is not finite, or a
+/// warm-up that is negative or does not precede the horizon. Errors name
+/// the CLI flag of the bad value. This is the one copy of these checks:
+/// the suite and `paba queue` both call it.
+pub fn check_queue(lambda: f64, horizon: f64, warmup: f64) -> Result<(), String> {
+    if !(lambda > 0.0 && lambda < 1.0) {
+        return Err(format!("--lambda must be in (0,1), got {lambda}"));
+    }
+    if !horizon.is_finite() {
+        return Err(format!(
+            "--horizon must be a finite simulated time, got {horizon}"
+        ));
+    }
+    if !(0.0..horizon).contains(&warmup) {
+        return Err(format!(
+            "--warmup must be non-negative and precede --horizon, got warmup {warmup} \
+             and horizon {horizon}"
+        ));
+    }
+    Ok(())
 }
 
 /// One arm: the shared request seed re-drives the same seeded network

@@ -9,8 +9,8 @@
 //! * [`chrome_trace`] — Chrome Trace Format (`trace_event` complete
 //!   events, `"ph": "X"`), loadable in Perfetto / `chrome://tracing`.
 //!
-//! The writers only use `format!`; the matching reader for round-trip
-//! tests is `paba_repro::json`.
+//! The writers only use `format!` and the `paba_util::json` emission
+//! helpers; the matching reader is `paba_util::json::parse`.
 
 use paba_util::json::escape;
 use paba_util::Provenance;

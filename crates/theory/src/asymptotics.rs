@@ -69,12 +69,6 @@ pub fn theorem4_min_beta(n: f64, alpha: f64) -> f64 {
     (1.0 - alpha) / 2.0 + n.ln().ln() / n.ln()
 }
 
-/// Expected maximum of `n` i.i.d. `Po(1)` variables, to leading order:
-/// `ln n / ln ln n` (Example 2/4's request-concentration scale).
-pub fn poisson_max_load(n: f64) -> f64 {
-    one_choice_max_load(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

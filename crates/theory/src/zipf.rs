@@ -65,18 +65,6 @@ impl CostRegime {
             CostRegime::Saturated
         }
     }
-
-    /// Predicted cost for library size `k` and cache size `m` (Θ-constant
-    /// 1, including the regime's logarithmic corrections).
-    pub fn predicted_cost(&self, k: f64, m: f64, gamma: f64) -> f64 {
-        match self {
-            CostRegime::UniformLike => (k / m).sqrt(),
-            CostRegime::CriticalOne => (k / (m * k.ln())).sqrt(),
-            CostRegime::Intermediate => k.powf(1.0 - gamma / 2.0) / m.sqrt(),
-            CostRegime::CriticalTwo => k.ln() / m.sqrt(),
-            CostRegime::Saturated => 1.0 / m.sqrt(),
-        }
-    }
 }
 
 /// The predicted power-law exponent of `C` as a function of `K` at fixed

@@ -14,11 +14,13 @@
 //! * [`envcfg`] — tiny environment-variable configuration for bench targets
 //!   (`PABA_RUNS`, `PABA_SEED`, `PABA_SCALE`, …).
 //! * [`json`] — the two shared JSON emission helpers (`escape`, `num`)
-//!   behind every hand-rolled artifact writer.
+//!   behind every hand-rolled artifact writer, and the reader
+//!   (`parse` → `Json`) behind every artifact check.
 //! * [`schema`] — the artifact schema identifiers every writer/reader
 //!   pair shares.
 //! * [`provenance`] — the per-artifact provenance block (seed, config
-//!   hash, build profile, wall clock) written by one shared helper.
+//!   hash, build profile, wall clock), written and read back by one
+//!   shared type.
 
 pub mod envcfg;
 pub mod hash;

@@ -7,17 +7,15 @@
 //! full configuration string, the thread budget, the build profile, and
 //! the wall-clock write time. One shared [`Provenance::capture`] +
 //! [`Provenance::to_json`] pair feeds every hand-rolled writer, so the
-//! block cannot drift between artifacts.
-//!
-//! The matching reader lives next to the JSON parser
-//! (`paba_bench::report`); all pre-existing readers tolerate the extra
-//! top-level `"provenance"` key.
+//! block cannot drift between artifacts, and [`Provenance::from_json`]
+//! reads it back; all pre-existing readers tolerate the extra top-level
+//! `"provenance"` key.
 
 use std::hash::Hasher;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::hash::FxHasher;
-use crate::json::escape;
+use crate::json::{escape, Json};
 
 /// Provenance block written under the top-level `"provenance"` key of
 /// every artifact.
@@ -81,6 +79,33 @@ impl Provenance {
             self.unix_time_s,
         )
     }
+
+    /// Parse a `"provenance"` block back: the inverse of
+    /// [`Provenance::to_json`]. Every field is required, so a drifted
+    /// writer shows up as `Err`, not as a silently partial struct.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let s = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("provenance missing string '{key}'"))
+        };
+        let n = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("provenance missing integer '{key}'"))
+        };
+        Ok(Self {
+            schema: s("schema")?,
+            writer: s("writer")?,
+            seed: n("seed")?,
+            scale: s("scale")?,
+            config_hash: s("config_hash")?,
+            threads: n("threads")?,
+            build_profile: s("build_profile")?,
+            unix_time_s: n("unix_time_s")?,
+        })
+    }
 }
 
 /// FxHash of a canonical configuration string, as 16 hex digits.
@@ -131,5 +156,13 @@ mod tests {
         ] {
             assert!(j.contains(&format!("\"{key}\": ")), "missing {key}: {j}");
         }
+    }
+
+    #[test]
+    fn provenance_round_trip() {
+        let p = Provenance::capture(crate::schema::THROUGHPUT, 99, "default", "cfg x=1 y=2");
+        let doc = crate::json::parse(&p.to_json()).expect("provenance JSON parses");
+        let back = Provenance::from_json(&doc).expect("all fields present");
+        assert_eq!(back, p);
     }
 }

@@ -106,11 +106,6 @@ impl OnlineStats {
         self.max
     }
 
-    /// Half-width of the ~95% normal-approximation confidence interval.
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_err()
-    }
-
     /// Freeze into a [`Summary`].
     pub fn summary(&self) -> Summary {
         Summary {

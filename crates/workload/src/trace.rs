@@ -342,11 +342,6 @@ impl TraceReplay {
         &self.trace
     }
 
-    /// Reset the cursor to the beginning.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
     /// Error unless the trace's shape matches `net`.
     pub fn check_compat<T: Topology>(&self, net: &CacheNetwork<T>) -> Result<(), String> {
         if self.trace.n != net.n() || self.trace.k != net.k() {
