@@ -982,6 +982,18 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
     if !matches!(process.as_str(), "one" | "two" | "d" | "beta" | "batched") {
         return Err(format!("--process: unknown process '{process}'"));
     }
+    if n == 0 {
+        return Err("--bins must be a positive bin count".into());
+    }
+    if d == 0 {
+        return Err("--d must be at least 1".into());
+    }
+    if !(0.0..=1.0).contains(&beta) {
+        return Err(format!("--beta must be in [0,1], got {beta}"));
+    }
+    if batch == 0 {
+        return Err("--batch must be a positive batch size".into());
+    }
 
     let maxes: Vec<f64> = paba_mcrunner::run_parallel(runs, seed, None, |_i, rng| {
         let res = match process.as_str() {
@@ -1664,6 +1676,32 @@ mod tests {
     fn ballsbins_rejects_unknown_process() {
         let a = args("ballsbins --process three");
         assert!(ballsbins(&a).unwrap_err().contains("three"));
+    }
+
+    #[test]
+    fn ballsbins_rejects_zero_bins() {
+        let a = args("ballsbins --bins 0");
+        assert!(ballsbins(&a).unwrap_err().contains("--bins"));
+    }
+
+    #[test]
+    fn ballsbins_rejects_zero_choices() {
+        let a = args("ballsbins --process d --d 0");
+        assert!(ballsbins(&a).unwrap_err().contains("--d"));
+    }
+
+    #[test]
+    fn ballsbins_rejects_beta_outside_the_unit_interval() {
+        for beta in ["2", "-0.5", "nan"] {
+            let a = args(&format!("ballsbins --process beta --beta {beta}"));
+            assert!(ballsbins(&a).unwrap_err().contains("--beta"), "{beta}");
+        }
+    }
+
+    #[test]
+    fn ballsbins_rejects_zero_batch() {
+        let a = args("ballsbins --process batched --batch 0");
+        assert!(ballsbins(&a).unwrap_err().contains("--batch"));
     }
 
     #[test]

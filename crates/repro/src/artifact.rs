@@ -256,21 +256,37 @@ fn parse_gate(v: &Json) -> Result<Gate, String> {
     })
 }
 
+/// A metric's error bar and run count are refused unless `check` can
+/// trust them: a non-finite or negative `std_err`, or fewer than two runs,
+/// would let any fresh mean pass as noise.
 fn parse_metric(v: &Json) -> Result<Metric, String> {
+    let id = field(v, "id", "metric")?
+        .as_str()
+        .ok_or("metric 'id' must be a string")?
+        .to_string();
+    let std_err = field(v, "std_err", "metric")?
+        .as_f64()
+        .ok_or("metric 'std_err' must be numeric")?;
+    if !(std_err.is_finite() && std_err >= 0.0) {
+        return Err(format!(
+            "metric '{id}': 'std_err' must be finite and non-negative, got {std_err:?}"
+        ));
+    }
+    let runs = field(v, "runs", "metric")?
+        .as_u64()
+        .ok_or("metric 'runs' must be a non-negative integer")?;
+    if runs < 2 {
+        return Err(format!(
+            "metric '{id}': 'runs' must be at least 2, got {runs}"
+        ));
+    }
     Ok(Metric {
-        id: field(v, "id", "metric")?
-            .as_str()
-            .ok_or("metric 'id' must be a string")?
-            .to_string(),
+        id,
         mean: field(v, "mean", "metric")?
             .as_f64()
             .ok_or("metric 'mean' must be numeric or null")?,
-        std_err: field(v, "std_err", "metric")?
-            .as_f64()
-            .ok_or("metric 'std_err' must be numeric or null")?,
-        runs: field(v, "runs", "metric")?
-            .as_u64()
-            .ok_or("metric 'runs' must be a non-negative integer")?,
+        std_err,
+        runs,
     })
 }
 
@@ -317,9 +333,10 @@ impl CheckReport {
 /// (`z_threshold`, see [`DEFAULT_CHECK_Z`]).
 ///
 /// Errors (rather than reporting a regression) when the artifacts are not
-/// comparable: different schema or scale, or different metric id sets —
-/// those mean the *suite* changed and the golden must be regenerated, not
-/// that the simulator regressed.
+/// comparable: different schema or scale, different metric id sets, or a
+/// metric measured over a different number of runs — those mean the
+/// *suite* changed and the golden must be regenerated, not that the
+/// simulator regressed.
 pub fn check(fresh: &Artifact, golden: &Artifact, z_threshold: f64) -> Result<CheckReport, String> {
     if fresh.schema != golden.schema {
         return Err(format!(
@@ -377,6 +394,13 @@ pub fn check(fresh: &Artifact, golden: &Artifact, z_threshold: f64) -> Result<Ch
             .iter()
             .find(|m| m.id == g.id)
             .expect("id sets verified equal above");
+        if f.runs != g.runs {
+            return Err(format!(
+                "metric '{}' ran {} times but the golden records {} \
+                 (rerun with --runs {} or regenerate the golden)",
+                g.id, f.runs, g.runs, g.runs
+            ));
+        }
         let raw = paba_theory::mean_gap_z(f.mean, f.std_err, g.mean, g.std_err).abs();
         // A NaN displacement means a non-finite mean or standard error on
         // either side (the writer emits `null` for those). Two NaN means
@@ -522,6 +546,34 @@ mod tests {
         let doc = sample().to_json().replace(SCHEMA, "paba-repro/999");
         let err = Artifact::from_json(&doc).unwrap_err();
         assert!(err.contains("schema"), "{err}");
+    }
+
+    #[test]
+    fn rejects_untrustworthy_error_bars_and_run_counts() {
+        // Each doctored golden used to load, and `check` then accepted
+        // any fresh mean against it.
+        let doc = sample().to_json();
+        for (from, to) in [
+            ("\"std_err\": 0.2,", "\"std_err\": 1e400,"),
+            ("\"std_err\": 0.2,", "\"std_err\": -1e308,"),
+            ("\"std_err\": 0.2,", "\"std_err\": null,"),
+            ("\"runs\": 24}", "\"runs\": 0}"),
+            ("\"runs\": 24}", "\"runs\": 1}"),
+        ] {
+            let doctored = doc.replacen(from, to, 1);
+            assert_ne!(doctored, doc, "{to}");
+            let err = Artifact::from_json(&doctored).unwrap_err();
+            assert!(err.contains("m/a"), "{to}: {err}");
+        }
+    }
+
+    #[test]
+    fn check_errors_on_run_count_mismatch() {
+        let golden = sample();
+        let mut fresh = golden.clone();
+        fresh.metrics[1].runs = 12;
+        let err = check(&fresh, &golden, DEFAULT_CHECK_Z).unwrap_err();
+        assert!(err.contains("m/b") && err.contains("--runs 24"), "{err}");
     }
 
     #[test]

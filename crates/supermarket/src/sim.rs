@@ -75,6 +75,8 @@ fn exp_sample<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> f64 {
 ///
 /// `integral[k]` accumulates `∫ counts[k] dt` and `queue_area`
 /// accumulates `∫ Σ_i len_i dt`, both restricted to the window. The
+/// engine keeps `Σ_i len_i` as a running integer total, so an event costs
+/// O(tail_cap), not O(n), and the area is exactly what a re-sum gives. The
 /// window opens at `t == warmup` — the same `>= warmup` predicate as the
 /// event-counted statistics, so an event landing exactly on the boundary
 /// belongs to the window for every statistic at once.
@@ -98,7 +100,7 @@ impl WindowAccumulator {
 
     /// Credit `[max(last, warmup), t)` with the current state, then move
     /// the cursor to `t`.
-    fn advance(&mut self, t: f64, counts: &[u32], lens: &[u32]) {
+    fn advance(&mut self, t: f64, counts: &[u32], total_len: u64) {
         if t >= self.warmup {
             let from = self.last.max(self.warmup);
             let dt = t - from;
@@ -106,7 +108,6 @@ impl WindowAccumulator {
                 for (acc, &c) in self.integral.iter_mut().zip(counts.iter()) {
                     *acc += c as f64 * dt;
                 }
-                let total_len: u64 = lens.iter().map(|&l| l as u64).sum();
                 self.queue_area += total_len as f64 * dt;
             }
             self.last = t;
@@ -174,9 +175,10 @@ where
     let n = net.n();
     let total_rate = cfg.lambda * n as f64;
     // Queue state: FIFO of arrival times; parallel integer lengths handed
-    // to the dispatch strategy.
+    // to the dispatch strategy, and their running sum.
     let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n as usize];
     let mut lens: Vec<u32> = vec![0; n as usize];
+    let mut total_len = 0u64;
     let mut departures: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
 
     // Per-threshold occupancy: counts[k] = #servers with len ≥ k.
@@ -214,10 +216,11 @@ where
             max_queue = lens.iter().copied().max().unwrap_or(0);
         }
         if t >= cfg.horizon {
-            acc.advance(cfg.horizon, &counts, &lens);
+            debug_assert_eq!(total_len, lens.iter().map(|&l| l as u64).sum::<u64>());
+            acc.advance(cfg.horizon, &counts, total_len);
             break;
         }
-        acc.advance(t, &counts, &lens);
+        acc.advance(t, &counts, total_len);
         clock = t;
 
         if is_arrival {
@@ -227,6 +230,7 @@ where
             let s = a.server as usize;
             queues[s].push_back(clock);
             lens[s] += 1;
+            total_len += 1;
             let new_len = lens[s];
             if (new_len as usize) <= cap {
                 counts[new_len as usize] += 1;
@@ -255,6 +259,7 @@ where
                 counts[old_len as usize] -= 1;
             }
             lens[s] -= 1;
+            total_len -= 1;
             // Count a completion only for jobs that *arrived* in the
             // window: `arrived >= warmup` implies `clock >= warmup`, and
             // keeps `completed ⊆ dispatched` so conservation and
@@ -393,19 +398,19 @@ mod tests {
         // event landing exactly on the warmup instant must open the
         // window so both sides agree on `[warmup, horizon)`.
         let mut acc = WindowAccumulator::new(10.0, 2);
-        acc.advance(10.0, &[1, 1, 0], &[1]);
+        acc.advance(10.0, &[1, 1, 0], 1);
         assert_eq!(
             acc.last_advance(),
             10.0,
             "an event at t == warmup must open the measurement window"
         );
         // The stretch from the boundary onward is credited in full.
-        acc.advance(12.5, &[1, 1, 0], &[1]);
+        acc.advance(12.5, &[1, 1, 0], 1);
         assert!((acc.queue_area - 2.5).abs() < 1e-12);
         assert!((acc.integral[1] - 2.5).abs() < 1e-12);
         // Pre-warmup stretches stay excluded.
         let mut before = WindowAccumulator::new(10.0, 2);
-        before.advance(4.0, &[1, 1, 0], &[1]);
+        before.advance(4.0, &[1, 1, 0], 1);
         assert_eq!(before.last_advance(), 0.0);
         assert_eq!(before.queue_area, 0.0);
     }
