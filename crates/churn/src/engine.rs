@@ -18,8 +18,10 @@
 //! Each applied event makes at most one
 //! `CacheNetwork::mutate_placement` call, so every strategy's sampler and
 //! the conditional cached-file sampler stay consistent mid-churn and are
-//! rebuilt once per event. An event does `O(V·log(nV))` ring work and
-//! `O(M)` placement calls plus that one rebuild.
+//! rebuilt once per event. An event does `O(V)` expected ring work (one
+//! bucket lookup per virtual node plus short walks) and `O(M)`
+//! placement calls, each shifting only inside one node's fixed-stride
+//! file slot (`O(M)`) and one file's replica list, plus that one rebuild.
 
 use crate::schedule::{ChurnEventKind, ChurnSchedule};
 use paba_core::source::RequestSource;
@@ -157,8 +159,9 @@ pub struct ChurnEngine {
 }
 
 impl ChurnEngine {
-    /// Start with every node alive. Builds the ring and sorts the
-    /// file-key index once: `O(nV·log(nV) + K·log K)`.
+    /// Start with every node alive. Builds the ring (a bucket counting
+    /// sort, `O(nV)` expected) and sorts the file-key index
+    /// (`O(K·log K)`) once.
     ///
     /// # Panics
     /// On the implicit full placement (churn requires a materialized,

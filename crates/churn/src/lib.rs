@@ -10,7 +10,7 @@
 //!   (crash / graceful leave / join / content insert) interleaved with
 //!   the request loop by [`simulate_churn`];
 //! * **mutable placement** — events mutate `Placement` incrementally
-//!   (sorted replica lists, CSR node lists, and the dense bitmaps all
+//!   (sorted replica lists, per-node file slots, and the dense bitmaps all
 //!   stay consistent; see `Placement::insert`/`remove`), one
 //!   `mutate_placement` batch per event, with `paba-dht`'s
 //!   [`HashRing`](paba_dht::HashRing) as the minimal-disruption

@@ -28,7 +28,9 @@ pub enum PlacementPolicy {
     FullLibrary,
 }
 
-/// An immutable placement: which node caches which files, indexed both ways.
+/// A placement: which node caches which files, indexed both ways, and
+/// mutable one file at a time ([`Placement::insert`]/[`Placement::remove`])
+/// for churn.
 #[derive(Clone, Debug)]
 pub struct Placement {
     n: u32,
@@ -41,10 +43,13 @@ pub struct Placement {
 #[derive(Clone, Debug)]
 enum Kind {
     Sparse {
-        /// CSR offsets into `node_files` (length `n + 1`).
-        node_offsets: Vec<u64>,
-        /// Concatenated sorted distinct file lists, per node.
-        node_files: Vec<FileId>,
+        /// Fixed-stride per-node slots: node `u` owns
+        /// `slab[u·S .. u·S + lens[u]]`, its sorted distinct files, with
+        /// `S = min(M, K)` (see [`Placement::stride`]) because no node
+        /// can hold more distinct files than that.
+        slab: Vec<FileId>,
+        /// `t(u)`: the used length of each node's slot.
+        lens: Vec<u32>,
         /// Per-file ascending node lists.
         replicas: Vec<Vec<NodeId>>,
         /// Direct-indexed membership bitmaps for dense files.
@@ -220,11 +225,11 @@ impl Placement {
         distinct: bool,
     ) -> Self {
         let k = library.k();
-        let mut node_offsets = Vec::with_capacity(n as usize + 1);
-        let mut node_files: Vec<FileId> = Vec::with_capacity((n as u64 * m as u64) as usize);
+        let stride = m.min(k) as usize;
+        let mut slab: Vec<FileId> = vec![0; n as usize * stride];
+        let mut lens = vec![0u32; n as usize];
         let mut replicas: Vec<Vec<NodeId>> = vec![Vec::new(); k as usize];
         let mut draws: Vec<FileId> = Vec::with_capacity(m as usize);
-        node_offsets.push(0u64);
         for u in 0..n {
             draws.clear();
             if distinct {
@@ -244,10 +249,11 @@ impl Placement {
                 draws.dedup();
             }
             for &f in &draws {
-                node_files.push(f);
                 replicas[f as usize].push(u);
             }
-            node_offsets.push(node_files.len() as u64);
+            let base = u as usize * stride;
+            slab[base..base + draws.len()].copy_from_slice(&draws);
+            lens[u as usize] = draws.len() as u32;
         }
         let dense = DenseIndex::build(n, &replicas);
         Self {
@@ -256,8 +262,8 @@ impl Placement {
             m,
             policy,
             kind: Kind::Sparse {
-                node_offsets,
-                node_files,
+                slab,
+                lens,
                 replicas,
                 dense,
             },
@@ -276,10 +282,10 @@ impl Placement {
     /// `m` distinct files.
     pub fn from_node_files(n: u32, k: u32, m: u32, lists: Vec<Vec<FileId>>) -> Self {
         assert_eq!(lists.len(), n as usize, "need one list per node");
-        let mut node_offsets = Vec::with_capacity(n as usize + 1);
-        let mut node_files: Vec<FileId> = Vec::new();
+        let stride = m.min(k) as usize;
+        let mut slab: Vec<FileId> = vec![0; n as usize * stride];
+        let mut lens = vec![0u32; n as usize];
         let mut replicas: Vec<Vec<NodeId>> = vec![Vec::new(); k as usize];
-        node_offsets.push(0u64);
         for (u, mut files) in lists.into_iter().enumerate() {
             files.sort_unstable();
             files.dedup();
@@ -290,10 +296,10 @@ impl Placement {
             );
             for &f in &files {
                 assert!(f < k, "file id {f} out of range (K={k})");
-                node_files.push(f);
                 replicas[f as usize].push(u as NodeId);
             }
-            node_offsets.push(node_files.len() as u64);
+            slab[u * stride..u * stride + files.len()].copy_from_slice(&files);
+            lens[u] = files.len() as u32;
         }
         let dense = DenseIndex::build(n, &replicas);
         Self {
@@ -302,8 +308,8 @@ impl Placement {
             m,
             policy: PlacementPolicy::ProportionalWithReplacement,
             kind: Kind::Sparse {
-                node_offsets,
-                node_files,
+                slab,
+                lens,
                 replicas,
                 dense,
             },
@@ -339,6 +345,13 @@ impl Placement {
     #[inline]
     pub fn m(&self) -> u32 {
         self.m
+    }
+
+    /// `S = min(M, K)`: the most distinct files a node can hold, and so
+    /// the length of each node's slot in a materialized placement.
+    #[inline]
+    fn stride(&self) -> usize {
+        self.m.min(self.k) as usize
     }
 
     /// The policy this placement was generated under.
@@ -407,7 +420,7 @@ impl Placement {
 
     /// Does node `u` cache file `f`? (O(1) for full placements.)
     ///
-    /// Binary-searches whichever index is shorter — `node_files(u)`
+    /// Binary-searches whichever index is shorter — node `u`'s slot
     /// (length `t(u) ≤ M`) or `replicas[f]` (length `cnt(f)`, as low as 1
     /// for tail files) — so the cost is `O(min(log t(u), log cnt(f)))`.
     /// This is the membership primitive of the assignment hot path: the
@@ -416,18 +429,13 @@ impl Placement {
     pub fn caches(&self, u: NodeId, f: FileId) -> bool {
         match &self.kind {
             Kind::Sparse {
-                replicas,
-                node_offsets,
-                node_files,
-                dense,
+                replicas, dense, ..
             } => {
                 if let Some(hit) = dense.contains(f, u) {
                     return hit;
                 }
                 let reps = &replicas[f as usize];
-                let lo = node_offsets[u as usize] as usize;
-                let hi = node_offsets[u as usize + 1] as usize;
-                let files = &node_files[lo..hi];
+                let files = self.node_files(u);
                 if reps.len() < files.len() {
                     reps.binary_search(&u).is_ok()
                 } else {
@@ -458,16 +466,12 @@ impl Placement {
     ///
     /// # Panics
     /// On a full placement (to avoid silently allocating `K` entries).
+    #[inline]
     pub fn node_files(&self, u: NodeId) -> &[FileId] {
         match &self.kind {
-            Kind::Sparse {
-                node_offsets,
-                node_files,
-                ..
-            } => {
-                let lo = node_offsets[u as usize] as usize;
-                let hi = node_offsets[u as usize + 1] as usize;
-                &node_files[lo..hi]
+            Kind::Sparse { slab, lens, .. } => {
+                let base = u as usize * self.stride();
+                &slab[base..base + lens[u as usize] as usize]
             }
             Kind::Full => panic!("node_files() is implicit (0..K) for a full placement"),
         }
@@ -477,9 +481,7 @@ impl Placement {
     #[inline]
     pub fn t_u(&self, u: NodeId) -> u32 {
         match &self.kind {
-            Kind::Sparse { node_offsets, .. } => {
-                (node_offsets[u as usize + 1] - node_offsets[u as usize]) as u32
-            }
+            Kind::Sparse { lens, .. } => lens[u as usize],
             Kind::Full => self.k,
         }
     }
@@ -542,26 +544,25 @@ impl Placement {
     }
 
     /// Insert file `f` into node `u`'s cache, keeping every index
-    /// consistent: the sorted replica list, the CSR node-file list, and the
+    /// consistent: the sorted replica list, node `u`'s slot, and the
     /// dense bitmap (promoting `f` at the `n/16` density threshold exactly
     /// where a from-scratch rebuild would index it). Returns `false`
     /// without changes when `u` already caches `f`.
     ///
-    /// Cost: two binary searches plus the CSR shift — O(total entries)
-    /// worst case, a memmove in practice. Churn events are rare relative
-    /// to requests, so this beats rebuilding the whole placement.
+    /// Cost: two binary searches, a shift inside `u`'s slot (O(M)) and the
+    /// insert into `f`'s replica list (O(cnt(f))); nothing else moves.
     ///
     /// # Panics
     /// On the implicit full placement, if `f ≥ K`, or if node `u` already
     /// holds `M` distinct files (capacity is the caller's invariant).
     pub fn insert(&mut self, u: NodeId, f: FileId) -> bool {
         assert!(f < self.k, "file id {f} out of range (K={})", self.k);
-        let (n, m) = (self.n, self.m);
+        let (n, m, stride) = (self.n, self.m, self.stride());
         match &mut self.kind {
             Kind::Full => panic!("cannot mutate the implicit full placement"),
             Kind::Sparse {
-                node_offsets,
-                node_files,
+                slab,
+                lens,
                 replicas,
                 dense,
             } => {
@@ -569,17 +570,18 @@ impl Placement {
                 let Err(pos) = reps.binary_search(&u) else {
                     return false;
                 };
-                let lo = node_offsets[u as usize] as usize;
-                let hi = node_offsets[u as usize + 1] as usize;
-                assert!(hi - lo < m as usize, "node {u} is full (M={m})");
+                let len = lens[u as usize] as usize;
+                assert!(len < m as usize, "node {u} is full (M={m})");
                 reps.insert(pos, u);
-                let fpos = node_files[lo..hi]
+                // `f` is absent and `len < M`, so `len < min(M, K)`: the
+                // slot has room for one more.
+                let slot = &mut slab[u as usize * stride..][..len + 1];
+                let fpos = slot[..len]
                     .binary_search(&f)
                     .expect_err("replica list said f was absent");
-                node_files.insert(lo + fpos, f);
-                for off in &mut node_offsets[u as usize + 1..] {
-                    *off += 1;
-                }
+                slot.copy_within(fpos..len, fpos + 1);
+                slot[fpos] = f;
+                lens[u as usize] += 1;
                 if dense.offsets[f as usize] != DenseIndex::NONE {
                     dense.set(f, u, true);
                 } else if (reps.len() as u64) * 16 >= n as u64 {
@@ -599,12 +601,12 @@ impl Placement {
     /// On the implicit full placement or if `f ≥ K`.
     pub fn remove(&mut self, u: NodeId, f: FileId) -> bool {
         assert!(f < self.k, "file id {f} out of range (K={})", self.k);
-        let n = self.n;
+        let (n, stride) = (self.n, self.stride());
         match &mut self.kind {
             Kind::Full => panic!("cannot mutate the implicit full placement"),
             Kind::Sparse {
-                node_offsets,
-                node_files,
+                slab,
+                lens,
                 replicas,
                 dense,
             } => {
@@ -613,15 +615,13 @@ impl Placement {
                     return false;
                 };
                 reps.remove(pos);
-                let lo = node_offsets[u as usize] as usize;
-                let hi = node_offsets[u as usize + 1] as usize;
-                let fpos = node_files[lo..hi]
+                let len = lens[u as usize] as usize;
+                let slot = &mut slab[u as usize * stride..][..len];
+                let fpos = slot
                     .binary_search(&f)
                     .expect("replica list said f was present");
-                node_files.remove(lo + fpos);
-                for off in &mut node_offsets[u as usize + 1..] {
-                    *off -= 1;
-                }
+                slot.copy_within(fpos + 1..len, fpos);
+                lens[u as usize] -= 1;
                 if dense.offsets[f as usize] != DenseIndex::NONE {
                     if (reps.len() as u64) * 16 < n as u64 {
                         dense.demote(f);

@@ -1,13 +1,18 @@
-//! Randomized equivalence tests for the *mutable* placement.
+//! Randomized and edge-case equivalence tests for the *mutable*
+//! placement.
 //!
 //! `Placement::insert`/`remove` maintain three indices incrementally —
-//! sorted replica lists, the CSR node-file lists, and the dense bitmap
-//! index (with block reuse across the `n/16` promotion threshold). The
-//! contract: after **any** event sequence the placement is
-//! indistinguishable from one rebuilt from scratch over the same
-//! node-file lists, and the hybrid sampler stays statistically equivalent
-//! to the exact-scan reference on the mutated placement (companion to
-//! `placement_probes.rs`, which covers static placements).
+//! sorted replica lists, each node's fixed-stride file slot (node `u`
+//! owns `S = min(M, K)` entries of one shared slab, `t(u)` of them in
+//! use), and the dense bitmap index (with block reuse across the `n/16`
+//! promotion threshold). The contract: after **any** event sequence the
+//! placement is indistinguishable from one rebuilt from scratch over the
+//! same node-file lists, and the hybrid sampler stays statistically
+//! equivalent to the exact-scan reference on the mutated placement
+//! (companion to `placement_probes.rs`, which covers static placements).
+//! The slot-edge tests drive the shifts at both ends of a slot, the first
+//! and last slot of the slab, a slot filled to `S` and drained, and
+//! `S = K` when `M > K`.
 
 use paba_core::{
     simulate, CacheNetwork, Library, Placement, PlacementPolicy, ProximityChoice, SamplerKind,
@@ -167,4 +172,106 @@ fn hybrid_sampler_equivalent_on_mutated_placement() {
             "r={r}: hybrid {hybrid} vs exact {exact} on mutated placements"
         );
     }
+}
+
+#[test]
+fn slot_edges_match_rebuild() {
+    // K = 10, M = 5 ⇒ S = 5. The first and last node of the slab start
+    // at [2, 6]; their neighbours' slots must never move.
+    let (n, k, m) = (8u32, 10u32, 5u32);
+    let lists = (0..n)
+        .map(|u| {
+            if u == 0 || u == n - 1 {
+                vec![2, 6]
+            } else {
+                vec![u]
+            }
+        })
+        .collect();
+    let mut p = Placement::from_node_files(n, k, m, lists);
+    let mut probe_seed = 0;
+    let mut step = |p: &Placement, u: u32, want: &[u32]| {
+        assert_eq!(p.node_files(u), want, "node {u}");
+        for v in (0..n).filter(|&v| v != 0 && v != n - 1) {
+            assert_eq!(p.node_files(v), &[v], "neighbour {v} of node {u}");
+        }
+        probe_seed += 1;
+        assert_matches_rebuild(p, 400, probe_seed);
+    };
+    for u in [0, n - 1] {
+        // Insert before the first file, between two, and after the last,
+        // which fills the slot to exactly S.
+        assert!(p.insert(u, 0));
+        step(&p, u, &[0, 2, 6]);
+        assert!(p.insert(u, 4));
+        step(&p, u, &[0, 2, 4, 6]);
+        assert!(p.insert(u, 9));
+        step(&p, u, &[0, 2, 4, 6, 9]);
+        // Remove the middle, the first and the last file.
+        assert!(p.remove(u, 4));
+        step(&p, u, &[0, 2, 6, 9]);
+        assert!(p.remove(u, 0));
+        step(&p, u, &[2, 6, 9]);
+        assert!(p.remove(u, 9));
+        step(&p, u, &[2, 6]);
+    }
+}
+
+#[test]
+fn slot_fills_to_stride_and_drains() {
+    // K = 12, M = 6 ⇒ S = 6: fill an empty middle node front-first (every
+    // insert shifts the whole slot), then drain it in scrambled order.
+    let (n, k, m) = (5u32, 12u32, 6u32);
+    let mut p = Placement::from_node_files(n, k, m, vec![vec![0, 11]; n as usize]);
+    let u = 2;
+    for f in [0, 11] {
+        assert!(p.remove(u, f));
+    }
+    assert_matches_rebuild(&p, 200, 1);
+    for (i, f) in [10u32, 8, 6, 4, 2, 1].into_iter().enumerate() {
+        assert!(p.insert(u, f));
+        assert_eq!(p.t_u(u) as usize, i + 1);
+        assert_matches_rebuild(&p, 200, 10 + i as u64);
+    }
+    assert_eq!(p.node_files(u), &[1, 2, 4, 6, 8, 10]);
+    assert_eq!(p.t_u(u), m, "filled to exactly S = M");
+    for (i, f) in [4u32, 10, 1, 6, 2, 8].into_iter().enumerate() {
+        assert!(p.remove(u, f));
+        assert_matches_rebuild(&p, 200, 20 + i as u64);
+    }
+    assert!(p.node_files(u).is_empty());
+    for v in (0..n).filter(|&v| v != u) {
+        assert_eq!(p.node_files(v), &[0, 11], "node {v}");
+    }
+}
+
+#[test]
+fn cache_larger_than_library_uses_stride_k() {
+    // M = 12 draws over K = 4 files ⇒ S = K = 4: a node holding every
+    // file refuses every insert (it already caches each one) although
+    // t(u) < M, and random churn stays exact.
+    let library = Library::new(4, Popularity::Uniform);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut p = Placement::generate(
+        32,
+        &library,
+        12,
+        PlacementPolicy::ProportionalWithReplacement,
+        &mut rng,
+    );
+    assert_matches_rebuild(&p, 500, 1);
+    let u = (0..p.n())
+        .find(|&u| p.t_u(u) == p.k())
+        .expect("12 uniform draws over 4 files fill some node");
+    assert!(p.t_u(u) < p.m());
+    for f in 0..p.k() {
+        assert!(!p.insert(u, f), "node {u} already holds file {f}");
+    }
+    assert_matches_rebuild(&p, 500, 2);
+    assert!(p.remove(u, 3));
+    assert!(p.insert(u, 3));
+    assert_eq!(p.node_files(u), &[0, 1, 2, 3]);
+    assert_matches_rebuild(&p, 500, 3);
+    churn(&mut p, 2_000, &mut rng);
+    assert_matches_rebuild(&p, 2_000, 4);
 }

@@ -15,7 +15,7 @@ use paba_util::FxHashSet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Reference membership relation rebuilt from the per-node CSR lists only
+/// Reference membership relation rebuilt from the per-node file lists only
 /// (never through `caches`, whose two paths are under test).
 fn reference_pairs(p: &Placement) -> FxHashSet<(u32, u32)> {
     let mut set = FxHashSet::default();

@@ -6,7 +6,8 @@
 //! replica placement over it. This crate provides that substrate:
 //!
 //! * [`HashRing`] — a classic consistent-hash ring over the `u64` key
-//!   space with virtual nodes, O(log V) successor lookup, k-distinct-
+//!   space with virtual nodes, O(1) expected successor lookup (a
+//!   bucket table keyed by the top bits of a ring position), k-distinct-
 //!   successor replication, and the minimal-disruption property on
 //!   membership change (tested, not just asserted). A membership
 //!   predicate turns one fixed ring into the ring of any member subset:

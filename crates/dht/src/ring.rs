@@ -11,10 +11,20 @@
 use paba_util::{mix64, mix_seed};
 
 /// A consistent-hash ring over servers `0..n` with `V` virtual nodes each.
+///
+/// Ring positions are uniform 64-bit hashes, so a bucket table keyed by
+/// the top bits of a position (about four points per bucket) finds any
+/// position's successor in O(1) expected time, and [`HashRing::new`]
+/// sorts the points bucket by bucket in O(nV) expected time.
 #[derive(Clone, Debug)]
 pub struct HashRing {
     /// Sorted `(position, server)` pairs.
     points: Vec<(u64, u32)>,
+    /// `starts[b]..starts[b + 1]` are the points whose position's top
+    /// bits (`position >> shift`) equal `b`; the last entry is
+    /// `points.len()`.
+    starts: Vec<u32>,
+    shift: u32,
     vnodes: u32,
     salt: u64,
 }
@@ -24,26 +34,98 @@ impl HashRing {
     /// `salt` varies the whole layout (e.g. per-experiment).
     ///
     /// # Panics
-    /// If `n == 0` or `vnodes == 0`.
+    /// If `n == 0` or `vnodes == 0`, or if `n·vnodes` exceeds `u32::MAX`.
     pub fn new(n: u32, vnodes: u32, salt: u64) -> Self {
+        Self::with_positions(n, vnodes, salt, |server, v| {
+            Self::vnode_hash(server, v, salt)
+        })
+    }
+
+    /// [`HashRing::new`] with virtual node `v` of `server` at
+    /// `position(server, v)`, so tests can force a hash collision.
+    ///
+    /// A counting sort on the bucket of each position: count, prefix-sum
+    /// into bucket ends, scatter into the final `points` vector (filling
+    /// each bucket from its end), then sort each bucket of about four
+    /// points. Hashing twice costs less than a second ring-sized buffer.
+    fn with_positions(n: u32, vnodes: u32, salt: u64, position: impl Fn(u32, u32) -> u64) -> Self {
         assert!(n > 0, "ring needs at least one server");
         assert!(vnodes > 0, "need at least one virtual node per server");
-        let mut points = Vec::with_capacity(n as usize * vnodes as usize);
+        let len = u32::try_from(n as u64 * vnodes as u64)
+            .expect("a ring holds at most u32::MAX points") as usize;
+        let shift = Self::shift_for(len);
+        let mut starts = vec![0u32; (1usize << (64 - shift)) + 1];
         for server in 0..n {
             for v in 0..vnodes {
-                points.push((Self::vnode_hash(server, v, salt), server));
+                starts[(position(server, v) >> shift) as usize] += 1;
             }
         }
-        points.sort_unstable();
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut points = vec![(0u64, 0u32); len];
+        for server in 0..n {
+            for v in 0..vnodes {
+                let pos = position(server, v);
+                let slot = &mut starts[(pos >> shift) as usize];
+                *slot -= 1;
+                points[*slot as usize] = (pos, server);
+            }
+        }
+        for b in starts.windows(2) {
+            points[b[0] as usize..b[1] as usize].sort_unstable();
+        }
         // Hash collisions across distinct (server, vnode) pairs are
-        // astronomically unlikely (64-bit, ≤ 2^26 points) but would make
+        // astronomically unlikely (64-bit, ≤ 2^32 points) but would make
         // ownership ambiguous; dedupe keeps the first owner.
         points.dedup_by_key(|p| p.0);
+        if points.len() < len {
+            return Self::from_sorted(points, vnodes, salt);
+        }
         Self {
             points,
+            starts,
+            shift,
             vnodes,
             salt,
         }
+    }
+
+    /// A ring over already sorted, deduplicated points, with its bucket
+    /// table built in one pass.
+    fn from_sorted(points: Vec<(u64, u32)>, vnodes: u32, salt: u64) -> Self {
+        let shift = Self::shift_for(points.len());
+        let mut starts = vec![0u32; (1usize << (64 - shift)) + 1];
+        for &(pos, _) in &points {
+            starts[(pos >> shift) as usize + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        Self {
+            points,
+            starts,
+            shift,
+            vnodes,
+            salt,
+        }
+    }
+
+    /// The shift that keys a ring of `len` points by the top bits of a
+    /// position: the smallest power-of-two bucket count (at least 2) that
+    /// is at least `len / 4`.
+    fn shift_for(len: usize) -> u32 {
+        64 - (len / 4).max(2).next_power_of_two().trailing_zeros()
+    }
+
+    /// The index of the first point at or after `pos`, or `points.len()`
+    /// when every point lies below it: a bucket lookup, then a search
+    /// inside the bucket.
+    #[inline]
+    fn first_at_or_after(&self, pos: u64) -> usize {
+        let b = (pos >> self.shift) as usize;
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        lo + self.points[lo..hi].partition_point(|&(p, _)| p < pos)
     }
 
     #[inline]
@@ -65,8 +147,7 @@ impl HashRing {
     /// The server owning `key`: the successor virtual node of the key's
     /// ring position (wrapping past the top of the key space).
     pub fn lookup(&self, key: u64) -> u32 {
-        let pos = self.key_position(key);
-        let idx = self.points.partition_point(|&(p, _)| p < pos);
+        let idx = self.first_at_or_after(self.key_position(key));
         let idx = if idx == self.points.len() { 0 } else { idx };
         self.points[idx].1
     }
@@ -90,15 +171,14 @@ impl HashRing {
         k: usize,
         keep: impl Fn(u32) -> bool,
     ) -> Vec<u32> {
-        let pos = self.key_position(key);
-        let len = self.points.len();
-        let start = self.points.partition_point(|&(p, _)| p < pos);
         let mut out: Vec<u32> = Vec::with_capacity(k);
         if k == 0 {
             return out;
         }
-        for i in 0..len {
-            let (_, server) = self.points[(start + i) % len];
+        let (before, after) = self
+            .points
+            .split_at(self.first_at_or_after(self.key_position(key)));
+        for &(_, server) in after.iter().chain(before) {
             if keep(server) && !out.contains(&server) {
                 out.push(server);
                 if out.len() == k {
@@ -119,7 +199,7 @@ impl HashRing {
     /// a key that starts its successor walk on a point passed reaches
     /// `server` before `k` others. Empty when `k == 0` or `keep` rejects
     /// `server`; the whole key space when fewer than `k` other servers
-    /// are accepted. Cost: `V` binary searches plus the points walked
+    /// are accepted. Cost: `V` bucket lookups plus the points walked
     /// back, about `k` per virtual node when most servers are accepted.
     pub fn replica_arcs(
         &self,
@@ -130,19 +210,19 @@ impl HashRing {
         if k == 0 || !keep(server) {
             return Vec::new();
         }
-        let len = self.points.len();
         let mut arcs = Vec::with_capacity(self.vnodes as usize);
         let mut seen: Vec<u32> = Vec::with_capacity(k);
         for v in 0..self.vnodes {
             let pos = Self::vnode_hash(server, v, self.salt);
+            let at = self.first_at_or_after(pos);
             // A virtual node lost to a hash collision owns no point.
-            let Ok(at) = self.points.binary_search(&(pos, server)) else {
+            if self.points.get(at) != Some(&(pos, server)) {
                 continue;
-            };
+            }
             seen.clear();
             let mut from = None;
-            for i in 1..len {
-                let (p, s) = self.points[(at + len - i) % len];
+            let (below, rest) = self.points.split_at(at);
+            for &(p, s) in below.iter().rev().chain(rest[1..].iter().rev()) {
                 if s != server && keep(s) && !seen.contains(&s) {
                     seen.push(s);
                     if seen.len() == k {
@@ -169,11 +249,11 @@ impl HashRing {
     /// A new ring with server `gone` removed (its arcs fall to their
     /// successors; everyone else's assignments are untouched).
     ///
-    /// Copies every remaining point. The churn engine reads one fixed
-    /// ring through its liveness mask instead
-    /// ([`HashRing::lookup_replicas_where`]); this rebuild is kept as the
-    /// reference the ring tests compare the mask against, and for the
-    /// benchmark's `dht.ring_rebuild_ns` probe.
+    /// Copies every remaining point and rebuilds the bucket table in one
+    /// pass. The churn engine reads one fixed ring through its liveness
+    /// mask instead ([`HashRing::lookup_replicas_where`]); this rebuild
+    /// is kept as the reference the ring tests compare the mask against,
+    /// and for the benchmark's `dht.ring_rebuild_ns` probe.
     ///
     /// # Panics
     /// If removing `gone` would empty the ring.
@@ -185,11 +265,7 @@ impl HashRing {
             .filter(|&(_, s)| s != gone)
             .collect();
         assert!(!points.is_empty(), "cannot remove the last server");
-        Self {
-            points,
-            vnodes: self.vnodes,
-            salt: self.salt,
-        }
+        Self::from_sorted(points, self.vnodes, self.salt)
     }
 
     /// A new ring with server `added` joined: its `V` virtual nodes claim
@@ -200,9 +276,9 @@ impl HashRing {
     /// hash positions keep the smaller server id, matching `new`'s
     /// sort-then-dedup order).
     ///
-    /// Clones and re-sorts every point; kept, like
-    /// [`HashRing::without_server`], for the ring tests and the
-    /// benchmark's `dht.ring_rebuild_ns` probe.
+    /// Merges the `V` new points into a copy of the ring and rebuilds the
+    /// bucket table; kept, like [`HashRing::without_server`], for the
+    /// ring tests and the benchmark's `dht.ring_rebuild_ns` probe.
     ///
     /// # Panics
     /// If `added` already owns points on the ring.
@@ -211,18 +287,21 @@ impl HashRing {
             !self.points.iter().any(|&(_, s)| s == added),
             "server {added} is already on the ring"
         );
-        let mut points = self.points.clone();
-        points.reserve(self.vnodes as usize);
-        for v in 0..self.vnodes {
-            points.push((Self::vnode_hash(added, v, self.salt), added));
+        let mut joined: Vec<(u64, u32)> = (0..self.vnodes)
+            .map(|v| (Self::vnode_hash(added, v, self.salt), added))
+            .collect();
+        joined.sort_unstable();
+        let mut points = Vec::with_capacity(self.points.len() + joined.len());
+        let mut rest = self.points.as_slice();
+        for &p in &joined {
+            let at = rest.partition_point(|&q| q < p);
+            points.extend_from_slice(&rest[..at]);
+            points.push(p);
+            rest = &rest[at..];
         }
-        points.sort_unstable();
+        points.extend_from_slice(rest);
         points.dedup_by_key(|p| p.0);
-        Self {
-            points,
-            vnodes: self.vnodes,
-            salt: self.salt,
-        }
+        Self::from_sorted(points, self.vnodes, self.salt)
     }
 
     /// Fraction of `keys` whose owner differs between `self` and `other`
@@ -397,6 +476,155 @@ mod tests {
             differing > 100,
             "salt should reshuffle the ring ({differing})"
         );
+    }
+
+    /// The sort-based ring the bucketed constructors must reproduce:
+    /// every `(position(s, v), s)`, `sort_unstable`, then
+    /// `dedup_by_key` on the position.
+    fn sorted_reference(
+        servers: impl Iterator<Item = u32>,
+        vnodes: u32,
+        position: impl Fn(u32, u32) -> u64,
+    ) -> Vec<(u64, u32)> {
+        let mut points: Vec<(u64, u32)> = servers
+            .flat_map(|s| (0..vnodes).map(move |v| (s, v)))
+            .map(|(s, v)| (position(s, v), s))
+            .collect();
+        points.sort_unstable();
+        points.dedup_by_key(|p| p.0);
+        points
+    }
+
+    /// The bucket table must bracket exactly its bucket's points, and
+    /// `first_at_or_after` must equal a `partition_point` over all points
+    /// at both ends of the key space, on both sides of every bucket
+    /// boundary, at every point and at random positions.
+    fn assert_index_matches_search(ring: &HashRing) {
+        let nb = ring.starts.len() - 1;
+        assert!(nb.is_power_of_two() && nb >= 2);
+        assert_eq!(64 - ring.shift, nb.trailing_zeros());
+        assert_eq!(ring.starts[0], 0);
+        assert_eq!(ring.starts[nb] as usize, ring.points.len());
+        for b in 0..nb {
+            for &(p, _) in &ring.points[ring.starts[b] as usize..ring.starts[b + 1] as usize] {
+                assert_eq!(
+                    (p >> ring.shift) as usize,
+                    b,
+                    "point {p} filed in bucket {b}"
+                );
+            }
+        }
+        let search = |pos: u64| ring.points.partition_point(|&(p, _)| p < pos);
+        let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for b in 1..nb as u64 {
+            let edge = b << ring.shift;
+            probes.extend([edge - 1, edge, edge + 1]);
+        }
+        for &(p, _) in &ring.points {
+            probes.extend([p.wrapping_sub(1), p, p.wrapping_add(1)]);
+        }
+        probes.extend((0..2_000u64).map(|i| mix64(i ^ 0xB0C4)));
+        for pos in probes {
+            assert_eq!(ring.first_at_or_after(pos), search(pos), "position {pos}");
+        }
+    }
+
+    #[test]
+    fn bucketed_build_matches_sort_reference() {
+        // n·V from 1 to 65,536, powers of two and not, so the bucket
+        // count (about n·V/4, at least 2) covers every shape.
+        let shapes: [(u32, u32); 12] = [
+            (1, 1),
+            (1, 3),
+            (2, 1),
+            (3, 5),
+            (4, 3),
+            (7, 13),
+            (16, 64),
+            (31, 33),
+            (100, 100),
+            (257, 63),
+            (255, 257),
+            (1024, 64),
+        ];
+        for (n, vnodes) in shapes {
+            let salt = 0x5EED ^ (n as u64) << 8 ^ vnodes as u64;
+            let hash = |s, v| HashRing::vnode_hash(s, v, salt);
+            let ring = HashRing::new(n, vnodes, salt);
+            assert_eq!(ring.points.len(), (n * vnodes) as usize);
+            assert_eq!(
+                ring.points,
+                sorted_reference(0..n, vnodes, hash),
+                "n={n} V={vnodes}"
+            );
+            assert_index_matches_search(&ring);
+            // Join a server beyond the range, and (when one remains)
+            // remove one and add it back.
+            let grown = ring.with_server(n);
+            assert_eq!(
+                grown.points,
+                sorted_reference(0..=n, vnodes, hash),
+                "join n={n}"
+            );
+            assert_index_matches_search(&grown);
+            if n > 1 {
+                let gone = n / 2;
+                let shrunk = ring.without_server(gone);
+                let rest = (0..n).filter(|&s| s != gone);
+                assert_eq!(
+                    shrunk.points,
+                    sorted_reference(rest, vnodes, hash),
+                    "leave n={n}"
+                );
+                assert_index_matches_search(&shrunk);
+                let back = shrunk.with_server(gone);
+                assert_eq!(back.points, ring.points, "rejoin n={n}");
+                assert_eq!(back.starts, ring.starts, "rejoin n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_positions_keep_the_smaller_server() {
+        // Virtual node 1 of server 2 lands on virtual node 0 of server 0.
+        // 4·3 = 12 points give 4 buckets; the 11 left after dedup give 2,
+        // so the table must be rebuilt, not just the points trimmed.
+        let salt = 9;
+        let position = |s: u32, v: u32| {
+            let (s, v) = if (s, v) == (2, 1) { (0, 0) } else { (s, v) };
+            HashRing::vnode_hash(s, v, salt)
+        };
+        let ring = HashRing::with_positions(4, 3, salt, position);
+        let expect = sorted_reference(0..4, 3, position);
+        assert_eq!(expect.len(), 11);
+        assert_eq!(ring.points, expect);
+        assert!(ring.points.contains(&(position(0, 0), 0)));
+        assert_index_matches_search(&ring);
+        // Server 2's lost virtual node owns no arc, but its others do.
+        let arcs = ring.replica_arcs(2, 1, |_| true);
+        assert_eq!(
+            arcs.iter().filter(|&&(_, hi)| hi == position(2, 1)).count(),
+            0
+        );
+        assert!(!arcs.is_empty());
+        // A joiner whose virtual node lands on an existing point loses it
+        // to the smaller id, as in `new`: server 1's virtual node 2 sits
+        // where server 4's virtual node 0 will.
+        let taken = |s: u32, v: u32| {
+            let (s, v) = if (s, v) == (1, 2) { (4, 0) } else { (s, v) };
+            HashRing::vnode_hash(s, v, salt)
+        };
+        let grown = HashRing::with_positions(4, 3, salt, taken).with_server(4);
+        assert_eq!(grown.points.len(), 14);
+        assert_eq!(grown.points, sorted_reference(0..5, 3, taken));
+        assert!(grown.points.contains(&(taken(4, 0), 1)));
+        assert_index_matches_search(&grown);
+        // Heavy collisions: twelve points on three positions, all in the
+        // lowest bucket.
+        let crowded = HashRing::with_positions(4, 3, salt, |s, v| u64::from((s * 3 + v) % 3));
+        assert_eq!(crowded.points, vec![(0, 0), (1, 0), (2, 0)]);
+        assert_index_matches_search(&crowded);
+        assert_eq!(crowded.lookup_replicas(7, 3), vec![0]);
     }
 
     #[test]

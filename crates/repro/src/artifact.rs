@@ -32,6 +32,31 @@ pub const SCHEMA: &str = paba_util::schema::REPRO;
 /// hundreds of metrics stay far below any practical flake rate.
 pub const DEFAULT_CHECK_Z: f64 = 6.0;
 
+/// The most a golden metric's `std_err` may exceed the fresh run's before
+/// [`check`] caps it there: `z` uses `min(se_g, 32·se_f)`.
+///
+/// Both standard errors come from the same seeded design at the same
+/// `runs` (a run-count mismatch is refused), so they estimate one
+/// quantity, and at the golden's own seed they are equal. Their ratio is
+/// a ratio of sample standard deviations: for normal data over 10 runs
+/// it exceeds 4 with probability about 2·10⁻⁴, and 32 with about
+/// 2·10⁻¹². The suites' heavy-tailed metrics spread far wider: over 13
+/// quick-scale runs of each suite (seeds 1–12 plus the committed golden,
+/// 156 ordered pairs per suite) the largest ratio was 86
+/// (`queueing/two_choice/littles_gap`), and 17 for
+/// `queueing/two_choice/p99`. A cap of 10 would have failed 2 of those
+/// 156 queueing pairs and a cap of 16 one; 32 failed none (largest capped
+/// `z` 3.9 against [`DEFAULT_CHECK_Z`]). It still refuses an inflated
+/// error bar: a queueing golden with every `std_err` at 10⁶ and every
+/// mean at 0 fails, because its precise metrics (throughput ratio,
+/// communication cost) sit more than `6·32` fresh standard errors from
+/// zero.
+///
+/// A fresh `std_err` of 0 means every fresh run agreed (a deterministic
+/// metric, or a discrete one that did not move at this seed). No
+/// multiple of it bounds the golden's, which is then used as written.
+pub const GOLDEN_STD_ERR_CAP: f64 = 32.0;
+
 /// One theorem-derived pass/fail assertion.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Gate {
@@ -330,7 +355,8 @@ impl CheckReport {
 }
 
 /// Diff `fresh` against `golden` within statistical tolerance
-/// (`z_threshold`, see [`DEFAULT_CHECK_Z`]).
+/// (`z_threshold`, see [`DEFAULT_CHECK_Z`]), with the golden's standard
+/// errors capped at [`GOLDEN_STD_ERR_CAP`] times the fresh ones.
 ///
 /// Errors (rather than reporting a regression) when the artifacts are not
 /// comparable: different schema or scale, different metric id sets, or a
@@ -401,7 +427,12 @@ pub fn check(fresh: &Artifact, golden: &Artifact, z_threshold: f64) -> Result<Ch
                 g.id, f.runs, g.runs, g.runs
             ));
         }
-        let raw = paba_theory::mean_gap_z(f.mean, f.std_err, g.mean, g.std_err).abs();
+        let golden_se = if f.std_err > 0.0 {
+            g.std_err.min(GOLDEN_STD_ERR_CAP * f.std_err)
+        } else {
+            g.std_err
+        };
+        let raw = paba_theory::mean_gap_z(f.mean, f.std_err, g.mean, golden_se).abs();
         // A NaN displacement means a non-finite mean or standard error on
         // either side (the writer emits `null` for those). Two NaN means
         // agree ("still non-finite"); anything else is incomparable and
@@ -587,6 +618,55 @@ mod tests {
         assert!(rep.ok(), "{rep:?}");
         assert_eq!(rep.compared, 2);
         assert!(rep.worst_z < 2.0);
+    }
+
+    #[test]
+    fn check_caps_inflated_golden_error_bars() {
+        // The committed queueing golden, doctored: every error bar
+        // inflated to 10⁶ and every mean zeroed. Without the cap every
+        // z would be about 10⁻³ and the check would pass.
+        let committed = Artifact::from_json_expecting(
+            include_str!("../../../BENCH_queueing.json"),
+            paba_util::schema::QUEUEING,
+        )
+        .unwrap();
+        let mut doctored = committed.clone();
+        for m in &mut doctored.metrics {
+            m.std_err = 1e6;
+            m.mean = 0.0;
+        }
+        let rep = check(&committed, &doctored, DEFAULT_CHECK_Z).unwrap();
+        assert!(!rep.ok(), "{rep:?}");
+        let flagged: Vec<&str> = rep.regressions.iter().map(|d| d.id.as_str()).collect();
+        assert!(
+            flagged.contains(&"queueing/two_choice/throughput_ratio"),
+            "{flagged:?}"
+        );
+        // The committed golden against itself is exact.
+        let rep = check(&committed, &committed, DEFAULT_CHECK_Z).unwrap();
+        assert!(rep.ok() && rep.worst_z == 0.0, "{rep:?}");
+    }
+
+    #[test]
+    fn cap_leaves_plausible_golden_error_bars_alone() {
+        let golden = sample();
+        let mut fresh = golden.clone();
+        // A golden error bar 20× the fresh one is within the cap: the
+        // same one-golden-standard-error gap stays noise.
+        fresh.metrics[0].std_err = golden.metrics[0].std_err / 20.0;
+        fresh.metrics[0].mean += golden.metrics[0].std_err;
+        // A discrete metric that did not move over the fresh runs keeps
+        // the golden's error bar as written.
+        fresh.metrics[1].std_err = 0.0;
+        fresh.metrics[1].mean += golden.metrics[1].std_err;
+        let rep = check(&fresh, &golden, DEFAULT_CHECK_Z).unwrap();
+        assert!(rep.ok(), "{rep:?}");
+        assert!(rep.worst_z < 1.01, "{rep:?}");
+        // Past the cap the same gap is measured against 32 fresh
+        // standard errors instead: 100× here gives z ≈ 100/32.
+        fresh.metrics[0].std_err = golden.metrics[0].std_err / 100.0;
+        let rep = check(&fresh, &golden, DEFAULT_CHECK_Z).unwrap();
+        assert!((rep.worst_z - 100.0 / 32.0).abs() < 0.01, "{rep:?}");
     }
 
     #[test]
