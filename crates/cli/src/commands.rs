@@ -2171,9 +2171,16 @@ mod tests {
             let err = run_cmd(&cmd).unwrap_err();
             assert!(err.contains(flag), "{cmd}: {err}");
         }
-        // --cache is checked only where the placement uses it, and a
-        // cycled trace still serves the queue.
+        // --cache is checked only where the placement uses it, a cycled
+        // trace still serves the queue, and a distinct placement whose
+        // popularity tail is vanishingly small (but positive) completes.
         run_cmd("simulate --side 6 --files 10 --cache 0 --runs 2 --placement full").unwrap();
+        for tail in [
+            "--files 1000 --cache 100 --gamma 5 --side 10",
+            "--files 50 --cache 50 --gamma 30 --side 4",
+        ] {
+            run_cmd(&format!("simulate --placement distinct {tail} --runs 1")).unwrap();
+        }
         run_cmd(&format!(
             "{} --cycle",
             finite.replace("{trace}", &trace_path)

@@ -21,7 +21,8 @@ pub enum PlacementPolicy {
     #[default]
     ProportionalWithReplacement,
     /// `M` *distinct* files drawn proportionally to `P` (rejection
-    /// sampling); requires `M ≤ K`.
+    /// sampling, with an exact fallback for vanishing tails; see
+    /// [`Placement::generate`]); requires `M ≤ K`.
     ProportionalDistinct,
     /// Every node stores the entire library (the `M = K` regime). The
     /// cache-size argument is ignored; `M` is forced to `K`.
@@ -50,7 +51,9 @@ enum Kind {
         slab: Vec<FileId>,
         /// `t(u)`: the used length of each node's slot.
         lens: Vec<u32>,
-        /// Per-file ascending node lists.
+        /// Per-file ascending node lists. A build allocates each at
+        /// exactly its length, so the first churn insert into a list
+        /// grows it.
         replicas: Vec<Vec<NodeId>>,
         /// Direct-indexed membership bitmaps for dense files.
         dense: DenseIndex,
@@ -171,9 +174,59 @@ impl DenseIndex {
     }
 }
 
+/// Consecutive rejected draws after which the distinct policy stops
+/// rejection-sampling a node's next file and draws it with
+/// [`draw_unchosen`] instead. Both give that file the same law, so the
+/// budget changes only the RNG stream, and only where it is spent: with
+/// `q` the popularity mass of the files the node has not chosen yet, `B`
+/// rejections in a row happen with probability `(1 − q)^B`, below 10⁻⁴
+/// while `q ≥ 0.9%` at `B = 1024`. A vanishing tail is where it pays: at
+/// Zipf γ = 30 over 50 files the last file has mass 10⁻⁵¹, and rejection
+/// alone would need ~1/q draws for it.
+const DISTINCT_REJECTION_BUDGET: u32 = 1024;
+
+/// Draw a file with probability proportional to `weights` among the files
+/// node `u` has not stamped in `seen` — the law of the distinct policy's
+/// next accepted draw — by one O(K) scan. At least one unstamped file must
+/// have positive weight.
+fn draw_unchosen<R: Rng + ?Sized>(
+    weights: &[f64],
+    seen: &[NodeId],
+    u: NodeId,
+    rng: &mut R,
+) -> FileId {
+    let open = |f: usize| if seen[f] == u { 0.0 } else { weights[f] };
+    let total: f64 = (0..weights.len()).map(open).sum();
+    let x = rng.gen::<f64>() * total;
+    let (mut acc, mut last) = (0.0, 0);
+    for f in 0..weights.len() {
+        let w = open(f);
+        if w > 0.0 {
+            acc += w;
+            last = f;
+            // `x` may round up to `total`, which `acc` reaches exactly
+            // after the last open file, so that file takes it.
+            if x < acc {
+                break;
+            }
+        }
+    }
+    last as FileId
+}
+
 impl Placement {
     /// Generate a placement for `n` nodes over `library` with cache size
     /// `m` under `policy`.
+    ///
+    /// Cost, for the sparse policies: the `n·M` draws, in node order, each
+    /// checked against a `K`-entry stamp of the files its node already
+    /// holds; a sort of each node's `t(u)` distinct files; and two passes
+    /// over the `Σ t(u)` entries, to count each file's replicas and to
+    /// fill lists allocated at exactly those counts. The distinct policy
+    /// rejects repeats; after 1,024 rejections in a row it draws the
+    /// node's next file with the same law by one O(K) scan over the files
+    /// the node lacks, so a vanishing popularity tail costs scans rather
+    /// than an unbounded number of draws.
     ///
     /// # Panics
     /// * `n == 0` or (`m == 0` under a non-full policy);
@@ -216,6 +269,9 @@ impl Placement {
         }
     }
 
+    /// Pass 1 of the build: each node's draws, in node order, become its
+    /// sorted distinct files in its slot; [`Placement::from_slots`] does
+    /// the rest.
     fn generate_sparse<R: Rng + ?Sized>(
         n: u32,
         library: &Library,
@@ -228,46 +284,46 @@ impl Placement {
         let stride = m.min(k) as usize;
         let mut slab: Vec<FileId> = vec![0; n as usize * stride];
         let mut lens = vec![0u32; n as usize];
-        let mut replicas: Vec<Vec<NodeId>> = vec![Vec::new(); k as usize];
-        let mut draws: Vec<FileId> = Vec::with_capacity(m as usize);
+        // `seen[f] == u` once node `u` has drawn `f`: a repeat is found by
+        // one load, so only the distinct files are ever sorted.
+        let mut seen: Vec<NodeId> = vec![NodeId::MAX; k as usize];
+        let mut draws: Vec<FileId> = vec![0; m as usize];
         for u in 0..n {
-            draws.clear();
+            let mut len = 0usize;
             if distinct {
                 // Rejection-sample M distinct files proportional to P.
-                while draws.len() < m as usize {
-                    let f = library.sample_file(rng);
-                    if !draws.contains(&f) {
-                        draws.push(f);
+                let mut rejected = 0u32;
+                while len < m as usize {
+                    let mut f = library.sample_file(rng);
+                    if seen[f as usize] == u {
+                        rejected += 1;
+                        if rejected < DISTINCT_REJECTION_BUDGET {
+                            continue;
+                        }
+                        f = draw_unchosen(library.weights(), &seen, u, rng);
                     }
+                    rejected = 0;
+                    seen[f as usize] = u;
+                    draws[len] = f;
+                    len += 1;
                 }
-                draws.sort_unstable();
             } else {
+                // Branch-free: every draw is written at the cursor and
+                // only a file's first draw advances it. The cursor never
+                // passes the draw count, so it stays inside `draws`.
                 for _ in 0..m {
-                    draws.push(library.sample_file(rng));
+                    let f = library.sample_file(rng);
+                    draws[len] = f;
+                    len += usize::from(seen[f as usize] != u);
+                    seen[f as usize] = u;
                 }
-                draws.sort_unstable();
-                draws.dedup();
             }
-            for &f in &draws {
-                replicas[f as usize].push(u);
-            }
-            let base = u as usize * stride;
-            slab[base..base + draws.len()].copy_from_slice(&draws);
-            lens[u as usize] = draws.len() as u32;
+            let files = &mut draws[..len];
+            files.sort_unstable();
+            slab[u as usize * stride..][..len].copy_from_slice(files);
+            lens[u as usize] = len as u32;
         }
-        let dense = DenseIndex::build(n, &replicas);
-        Self {
-            n,
-            k,
-            m,
-            policy,
-            kind: Kind::Sparse {
-                slab,
-                lens,
-                replicas,
-                dense,
-            },
-        }
+        Self::from_slots(n, k, m, policy, slab, lens)
     }
 
     /// Build a placement from explicit per-node file lists (deduplicated
@@ -285,7 +341,6 @@ impl Placement {
         let stride = m.min(k) as usize;
         let mut slab: Vec<FileId> = vec![0; n as usize * stride];
         let mut lens = vec![0u32; n as usize];
-        let mut replicas: Vec<Vec<NodeId>> = vec![Vec::new(); k as usize];
         for (u, mut files) in lists.into_iter().enumerate() {
             files.sort_unstable();
             files.dedup();
@@ -294,19 +349,55 @@ impl Placement {
                 "node {u} holds {} distinct files > M={m}",
                 files.len()
             );
-            for &f in &files {
+            if let Some(&f) = files.last() {
                 assert!(f < k, "file id {f} out of range (K={k})");
+            }
+            slab[u * stride..][..files.len()].copy_from_slice(&files);
+            lens[u] = files.len() as u32;
+        }
+        let policy = PlacementPolicy::ProportionalWithReplacement;
+        Self::from_slots(n, k, m, policy, slab, lens)
+    }
+
+    /// Pass 2 of both constructors, given every node's sorted distinct
+    /// files in its slot: count each file's replicas, allocate each
+    /// replica list at exactly that size, and fill the lists in ascending
+    /// node order, so they come out sorted without a search.
+    fn from_slots(
+        n: u32,
+        k: u32,
+        m: u32,
+        policy: PlacementPolicy,
+        slab: Vec<FileId>,
+        lens: Vec<u32>,
+    ) -> Self {
+        let stride = m.min(k) as usize;
+        let slots = || {
+            lens.iter()
+                .enumerate()
+                .map(|(u, &len)| &slab[u * stride..][..len as usize])
+        };
+        let mut counts = vec![0u32; k as usize];
+        for files in slots() {
+            for &f in files {
+                counts[f as usize] += 1;
+            }
+        }
+        let mut replicas: Vec<Vec<NodeId>> = counts
+            .iter()
+            .map(|&c| Vec::with_capacity(c as usize))
+            .collect();
+        for (u, files) in slots().enumerate() {
+            for &f in files {
                 replicas[f as usize].push(u as NodeId);
             }
-            slab[u * stride..u * stride + files.len()].copy_from_slice(&files);
-            lens[u] = files.len() as u32;
         }
         let dense = DenseIndex::build(n, &replicas);
         Self {
             n,
             k,
             m,
-            policy: PlacementPolicy::ProportionalWithReplacement,
+            policy,
             kind: Kind::Sparse {
                 slab,
                 lens,
@@ -991,6 +1082,96 @@ mod tests {
     fn insert_rejects_full_placement() {
         let mut p = Placement::full(4, 4);
         let _ = p.insert(0, 0);
+    }
+
+    #[test]
+    fn replica_lists_are_allocated_exactly() {
+        let library = Library::new(40, Popularity::zipf(1.2));
+        let built = [
+            Placement::generate(
+                200,
+                &library,
+                6,
+                PlacementPolicy::ProportionalWithReplacement,
+                &mut rng(13),
+            ),
+            Placement::generate(
+                200,
+                &library,
+                6,
+                PlacementPolicy::ProportionalDistinct,
+                &mut rng(14),
+            ),
+            Placement::from_node_files(
+                5,
+                4,
+                3,
+                vec![vec![3, 0, 3], vec![], vec![1, 2, 1], vec![0], vec![2, 0]],
+            ),
+        ];
+        for (i, p) in built.iter().enumerate() {
+            let Kind::Sparse { replicas, .. } = &p.kind else {
+                unreachable!("sparse constructors build sparse placements")
+            };
+            for (f, reps) in replicas.iter().enumerate() {
+                assert_eq!(reps.capacity(), reps.len(), "placement {i}, file {f}");
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_fallback_draw_matches_rejection_law() {
+        // Node 0 holds files 0 and 3 of a Zipf(1.2) library of 8 files;
+        // node 1's stamp on file 5 does not close it to node 0. The
+        // rejection loop's next accepted file and `draw_unchosen` must
+        // both follow the weights renormalized over files 1, 2, 4–7.
+        use paba_popularity::empirical::{chi_squared_critical, FrequencyCounter};
+        let library = Library::new(8, Popularity::zipf(1.2));
+        let mut seen = vec![NodeId::MAX; 8];
+        (seen[0], seen[3], seen[5]) = (0, 0, 1);
+        let weights = library.weights();
+        let open: f64 = (0..8).filter(|&f| seen[f] != 0).map(|f| weights[f]).sum();
+        let expected: Vec<f64> = (0..8)
+            .map(|f| if seen[f] == 0 { 0.0 } else { weights[f] / open })
+            .collect();
+        let mut r = rng(15);
+        let (mut fallback, mut rejection) = (FrequencyCounter::new(8), FrequencyCounter::new(8));
+        for _ in 0..200_000 {
+            fallback.record(draw_unchosen(weights, &seen, 0, &mut r));
+            let f = loop {
+                let f = library.sample_file(&mut r);
+                if seen[f as usize] != 0 {
+                    break f;
+                }
+            };
+            rejection.record(f);
+        }
+        let critical = chi_squared_critical(5);
+        for (name, counts) in [("fallback", &fallback), ("rejection", &rejection)] {
+            let chi2 = counts.chi_squared(&expected);
+            assert!(chi2 < critical, "{name}: χ² = {chi2:.2} ≥ {critical:.2}");
+        }
+    }
+
+    #[test]
+    fn distinct_policy_survives_a_vanishing_tail() {
+        // Rejection alone needs ~10⁹ draws for the last files at γ = 5 and
+        // ~10⁵¹ at γ = 30 (where every node must hold all 50 files).
+        for (n, k, m, gamma) in [(100, 1000, 100, 5.0), (16, 50, 50, 30.0)] {
+            let library = Library::new(k, Popularity::zipf(gamma));
+            let p = Placement::generate(
+                n,
+                &library,
+                m,
+                PlacementPolicy::ProportionalDistinct,
+                &mut rng(16),
+            );
+            for u in 0..n {
+                let files = p.node_files(u);
+                assert_eq!(files.len(), m as usize, "γ = {gamma}, node {u}");
+                assert!(files.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
     }
 
     #[test]
