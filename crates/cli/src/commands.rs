@@ -254,6 +254,31 @@ fn popularity(gamma: f64) -> Popularity {
     }
 }
 
+/// The error for a network of `--side`, `--files` and `--cache` that
+/// cannot be allocated.
+fn too_large(side: u32, k: u32, m: u32, e: &dyn std::fmt::Display) -> String {
+    format!("--side {side}, --files {k} and --cache {m} give a network too large for memory: {e}")
+}
+
+/// Build the network of the run flags, or say, naming them, that it does
+/// not fit in memory.
+fn try_network(
+    side: u32,
+    k: u32,
+    m: u32,
+    gamma: f64,
+    policy: PlacementPolicy,
+    rng: &mut SmallRng,
+) -> Result<CacheNetwork<Torus>, String> {
+    CacheNetwork::builder()
+        .torus_side(side)
+        .library(k, popularity(gamma))
+        .cache_size(m)
+        .placement_policy(policy)
+        .try_build(rng)
+        .map_err(|e| too_large(side, k, m, &e))
+}
+
 /// Parse the `--workload` family of options into a [`WorkloadSpec`].
 fn workload_spec(a: &Args) -> Result<WorkloadSpec, String> {
     match a.str_or("workload", "iid").as_str() {
@@ -362,12 +387,14 @@ struct SimRunCfg {
 
 /// One `paba simulate` run: build the network, instantiate the workload,
 /// run the selected strategy with `rec` threaded through the hot path.
+/// A network too large for memory fails the run, before any draw, with
+/// the error that names its flags.
 fn sim_run_one<Rec: Recorder + Clone>(
     cfg: &SimRunCfg,
     run_idx: usize,
     rng: &mut SmallRng,
     rec: &Rec,
-) -> SimReport {
+) -> Result<SimReport, String> {
     let net: CacheNetwork<Torus> = if cfg.placement == "dht" {
         let library = paba_core::Library::new(cfg.k, popularity(cfg.gamma));
         let p = paba_dht::dht_placement(
@@ -381,12 +408,7 @@ fn sim_run_one<Rec: Recorder + Clone>(
         );
         CacheNetwork::from_parts(Torus::new(cfg.side), library, p)
     } else {
-        CacheNetwork::builder()
-            .torus_side(cfg.side)
-            .library(cfg.k, popularity(cfg.gamma))
-            .cache_size(cfg.m)
-            .placement_policy(cfg.policy)
-            .build(rng)
+        try_network(cfg.side, cfg.k, cfg.m, cfg.gamma, cfg.policy, rng)?
     };
     let mut source = cfg
         .spec
@@ -399,7 +421,7 @@ fn sim_run_one<Rec: Recorder + Clone>(
         RequestSource::<Torus>::size_hint(&source).unwrap_or(net.n() as u64)
     };
     let (d, stale) = (cfg.dispatch.d, cfg.dispatch.stale);
-    match cfg.dispatch.strategy.as_str() {
+    Ok(match cfg.dispatch.strategy.as_str() {
         "nearest" => {
             let mut s = NearestReplica::new().with_recorder(rec.clone());
             simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
@@ -419,7 +441,12 @@ fn sim_run_one<Rec: Recorder + Clone>(
             simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
         }
         other => unreachable!("strategy '{other}' was validated before spawning"),
-    }
+    })
+}
+
+/// The reports of all runs, or the first failed run's error.
+fn all_runs(reports: Vec<Result<SimReport, String>>) -> Result<Vec<SimReport>, String> {
+    reports.into_iter().collect()
 }
 
 /// Write `content` to `path`, where `-` means stdout (so artifacts pipe
@@ -492,8 +519,10 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
     check_network(side, 1, k, cache, gamma)?;
     if policy == PlacementPolicy::ProportionalDistinct {
         // Distinct draws need M files the popularity can reach.
-        let library = paba_core::Library::new(k, popularity(gamma));
-        let drawable = library.weights().iter().filter(|&&w| w > 0.0).count();
+        let weights = popularity(gamma)
+            .try_weights(k as usize)
+            .map_err(|e| too_large(side, k, m, &e))?;
+        let drawable = weights.iter().filter(|&&w| w > 0.0).count();
         if m as usize > drawable {
             return Err(format!(
                 "--cache {m} exceeds the files --placement distinct can draw \
@@ -554,7 +583,7 @@ fn run_traced(
         Some(l) => spawn_metrics(a, l)?,
         None => None,
     };
-    Ok(match &live {
+    let (reports, report) = match &live {
         // The lazy candidates iterator goes to the trace side, the only
         // consumer that needs it.
         Some(l) => paba_mcrunner::run_parallel_traced(
@@ -573,7 +602,8 @@ fn run_traced(
             trace_cfg,
             |rec, i, rng| sim_run_one(cfg, i, rng, &rec),
         ),
-    })
+    };
+    Ok((all_runs(reports)?, report))
 }
 
 /// `paba simulate`.
@@ -618,6 +648,7 @@ pub(crate) fn simulate_cmd_impl(
         let reports = run_parallel_live(runs, seed, None, &live, |rec, i, rng| {
             sim_run_one(&cfg, i, rng, &rec)
         });
+        let reports = all_runs(reports)?;
         let snap = telemetry.then(|| live.recorder.snapshot());
         (reports, snap, None)
     } else if telemetry {
@@ -629,6 +660,7 @@ pub(crate) fn simulate_cmd_impl(
             AtomicRecorder::new,
             |rec, run_idx, rng| sim_run_one(&cfg, run_idx, rng, &rec),
         );
+        let reports = all_runs(reports)?;
         let mut snap = TelemetrySnapshot::empty();
         for rec in &recorders {
             snap.merge(&rec.snapshot());
@@ -638,7 +670,7 @@ pub(crate) fn simulate_cmd_impl(
         let reports = paba_mcrunner::run_parallel(runs, seed, None, |run_idx, rng| {
             sim_run_one(&cfg, run_idx, rng, &NullRecorder)
         });
-        (reports, None, None)
+        (all_runs(reports)?, None, None)
     };
     Ok((summarize_reports(&reports), runs, snapshot, trace))
 }
@@ -869,11 +901,8 @@ pub fn queue(a: &Args) -> Result<(), String> {
     spec.validate(side * side, k)?;
 
     let mut rng = SmallRng::seed_from_u64(seed);
-    let net = CacheNetwork::builder()
-        .torus_side(side)
-        .library(k, popularity(gamma))
-        .cache_size(m)
-        .build(&mut rng);
+    let policy = PlacementPolicy::ProportionalWithReplacement;
+    let net = try_network(side, k, m, gamma, policy, &mut rng)?;
     let mut source = spec.build(&net, UncachedPolicy::ResampleFile)?;
     let cfg = paba_supermarket::QueueSimConfig {
         lambda,
@@ -1495,11 +1524,8 @@ fn workload_generate(a: &Args) -> Result<(), String> {
     spec.validate(side * side, k)?;
 
     let mut rng = SmallRng::seed_from_u64(seed);
-    let net = CacheNetwork::builder()
-        .torus_side(side)
-        .library(k, popularity(gamma))
-        .cache_size(m)
-        .build(&mut rng);
+    let policy = PlacementPolicy::ProportionalWithReplacement;
+    let net = try_network(side, k, m, gamma, policy, &mut rng)?;
     let mut source = spec.build(&net, UncachedPolicy::ResampleFile)?;
     let requests = if requests_opt != 0 {
         requests_opt
@@ -2154,6 +2180,19 @@ mod tests {
                 "--cache",
             ),
             ("simulate --stale 0", "--stale"),
+            // n·M = 2.1·10¹⁴ slots (858 TB): no machine can allocate it.
+            (
+                "simulate --side 46340 --files 100000 --cache 100000 --runs 1",
+                "--side 46340, --files 100000 and --cache 100000",
+            ),
+            (
+                "queue --side 46340 --files 100000 --cache 100000",
+                "--cache 100000",
+            ),
+            (
+                "workload generate --side 46340 --files 100000 --cache 100000 --out {out}",
+                "--files 100000",
+            ),
             ("trace --side 0", "--side"),
             ("queue --side 0", "--side"),
             ("queue --files 0", "--files"),

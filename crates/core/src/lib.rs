@@ -15,7 +15,7 @@
 //! * the analysis artefacts of §IV: per-file **Voronoi tessellations**
 //!   (Lemma 1), the **configuration graph** `H` (Definition 4), and the
 //!   placement **goodness** property (Definition 5 / Lemma 2);
-//! * an end-to-end [`simulate`] driver producing [`SimReport`]s with the
+//! * an end-to-end [`simulate()`] driver producing [`SimReport`]s with the
 //!   paper's two metrics, maximum load `L` and communication cost `C`
 //!   (Definition 1).
 //!
@@ -55,7 +55,7 @@ pub use config_graph::{build_config_graph, ConfigGraphMethod};
 pub use goodness::GoodnessReport;
 pub use library::Library;
 pub use metrics::{FallbackKind, SimReport};
-pub use network::{CacheNetwork, CacheNetworkBuilder};
+pub use network::{BuildError, CacheNetwork, CacheNetworkBuilder};
 pub use placement::{Placement, PlacementPolicy};
 pub use request::{apply_uncached_policy, Request, UncachedPolicy};
 pub use simulate::{simulate, simulate_source, simulate_source_profiled};

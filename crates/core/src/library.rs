@@ -1,5 +1,6 @@
 //! The file library `W = {W_1, …, W_K}` with its popularity profile.
 
+use crate::network::BuildError;
 use paba_popularity::{FileId, FileSampler, Popularity};
 use rand::Rng;
 
@@ -17,17 +18,30 @@ impl Library {
     /// Build a library of `k` files under `popularity`.
     ///
     /// # Panics
-    /// If `k == 0` (a cache network needs something to serve).
+    /// If `k == 0` (a cache network needs something to serve), or if the
+    /// `K`-entry weights or alias table cannot be allocated.
     pub fn new(k: u32, popularity: Popularity) -> Self {
+        Self::try_new(k, popularity).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Library::new`], returning a [`BuildError`] instead of aborting
+    /// when the `K`-entry weights or alias table cannot be allocated.
+    ///
+    /// # Panics
+    /// If `k == 0`.
+    pub(crate) fn try_new(k: u32, popularity: Popularity) -> Result<Self, BuildError> {
         assert!(k > 0, "library must contain at least one file");
-        let weights = popularity.weights(k as usize);
-        let sampler = FileSampler::new(&popularity, k);
-        Self {
+        let weights = popularity
+            .try_weights(k as usize)
+            .map_err(|_| BuildError::of::<f64>(k.into(), "popularity weights"))?;
+        let sampler = FileSampler::try_from_weights(&popularity, &weights)
+            .map_err(|_| BuildError::of::<(f64, FileId)>(k.into(), "alias table"))?;
+        Ok(Self {
             k,
             popularity,
             weights,
             sampler,
-        }
+        })
     }
 
     /// Library size `K`.

@@ -5,6 +5,47 @@ use crate::placement::{Placement, PlacementPolicy};
 use paba_popularity::{AliasTable, FileId, Popularity};
 use paba_topology::{Grid, Topology, Torus};
 use rand::Rng;
+use std::fmt;
+
+/// A network too large for memory: a buffer sized by its `n`, `K` or `M`
+/// could not be allocated. [`CacheNetworkBuilder::try_build`] returns it
+/// where [`CacheNetworkBuilder::build`] would abort the process.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BuildError {
+    what: &'static str,
+    bytes: u128,
+}
+
+impl BuildError {
+    /// The error for `len` values of `T` in the buffer named `what`.
+    pub(crate) fn of<T>(len: u64, what: &'static str) -> Self {
+        let bytes = u128::from(len) * std::mem::size_of::<T>() as u128;
+        Self { what, bytes }
+    }
+
+    /// An empty `Vec` with room for exactly `len` values, or the error
+    /// naming `what` when that room cannot be allocated.
+    pub(crate) fn reserve<T>(len: u64, what: &'static str) -> Result<Vec<T>, Self> {
+        let mut v = Vec::new();
+        usize::try_from(len)
+            .ok()
+            .and_then(|len| v.try_reserve_exact(len).ok())
+            .map(|()| v)
+            .ok_or_else(|| Self::of::<T>(len, what))
+    }
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cannot allocate {} bytes for the {}",
+            self.bytes, self.what
+        )
+    }
+}
+
+impl std::error::Error for BuildError {}
 
 /// O(1) sampler over the *cached* sub-library, i.e. the popularity
 /// profile conditioned on `replica_count(f) > 0`.
@@ -246,19 +287,44 @@ impl CacheNetworkBuilder {
     }
 
     /// Build on a torus (the paper's default topology).
+    ///
+    /// # Panics
+    /// If the network cannot be allocated (see
+    /// [`CacheNetworkBuilder::try_build`]), and on the arguments
+    /// [`Placement::generate`] rejects.
     pub fn build<R: Rng + ?Sized>(self, rng: &mut R) -> CacheNetwork<Torus> {
-        let topo = Torus::new(self.side);
-        let library = Library::new(self.k, self.popularity.clone());
-        let placement = Placement::generate(topo.n(), &library, self.m, self.policy, rng);
-        CacheNetwork::from_parts(topo, library, placement)
+        self.try_build(rng).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CacheNetworkBuilder::build`], returning a [`BuildError`] when the
+    /// library or the placement is too large to allocate. The buffers
+    /// sized by `n`, `K` and `M` are reserved before they are written, so
+    /// an oversized network fails fast, before any placement draw.
+    pub fn try_build<R: Rng + ?Sized>(
+        self,
+        rng: &mut R,
+    ) -> Result<CacheNetwork<Torus>, BuildError> {
+        self.try_build_on(Torus::new, rng)
     }
 
     /// Build on a bounded grid (Remark 1 ablation).
+    ///
+    /// # Panics
+    /// As [`CacheNetworkBuilder::build`].
     pub fn build_grid<R: Rng + ?Sized>(self, rng: &mut R) -> CacheNetwork<Grid> {
-        let topo = Grid::new(self.side);
-        let library = Library::new(self.k, self.popularity.clone());
-        let placement = Placement::generate(topo.n(), &library, self.m, self.policy, rng);
-        CacheNetwork::from_parts(topo, library, placement)
+        self.try_build_on(Grid::new, rng)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_build_on<T: Topology, R: Rng + ?Sized>(
+        self,
+        topology: fn(u32) -> T,
+        rng: &mut R,
+    ) -> Result<CacheNetwork<T>, BuildError> {
+        let topo = topology(self.side);
+        let library = Library::try_new(self.k, self.popularity)?;
+        let placement = Placement::try_generate(topo.n(), &library, self.m, self.policy, rng)?;
+        Ok(CacheNetwork::from_parts(topo, library, placement))
     }
 }
 
@@ -281,6 +347,23 @@ mod tests {
         assert_eq!(net.m(), 3);
         assert!(net.cached_file_count() <= 20);
         assert!(net.cached_file_count() > 0);
+    }
+
+    #[test]
+    fn try_build_reports_an_oversized_network() {
+        // n·M = 2.1·10¹⁴ slots, 858 TB: beyond any machine's memory.
+        let err = CacheNetwork::builder()
+            .torus_side(Torus::MAX_SIDE)
+            .library(100_000, Popularity::Uniform)
+            .cache_size(100_000)
+            .try_build(&mut SmallRng::seed_from_u64(5))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cannot allocate 858958240000000 bytes for the placement slots"
+        );
+        let err = BuildError::reserve::<u64>(u64::MAX, "test buffer").unwrap_err();
+        assert_eq!(err, BuildError::of::<u64>(u64::MAX, "test buffer"));
     }
 
     #[test]

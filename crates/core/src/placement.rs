@@ -10,6 +10,7 @@
 //! for ablations.
 
 use crate::library::Library;
+use crate::network::BuildError;
 use paba_popularity::FileId;
 use paba_topology::NodeId;
 use rand::Rng;
@@ -47,7 +48,11 @@ enum Kind {
         /// Fixed-stride per-node slots: node `u` owns
         /// `slab[u·S .. u·S + lens[u]]`, its sorted distinct files, with
         /// `S = min(M, K)` (see [`Placement::stride`]) because no node
-        /// can hold more distinct files than that.
+        /// can hold more distinct files than that. A build writes each
+        /// slot unsorted, then rewrites it in order by [`order_slots`]'s
+        /// node-blocked transpose of `replicas` (blocks of 512 KiB of
+        /// slots, at most `Σ t(u) / 4K` of them; a per-slot sort below 16
+        /// entries per file).
         slab: Vec<FileId>,
         /// `t(u)`: the used length of each node's slot.
         lens: Vec<u32>,
@@ -214,23 +219,106 @@ fn draw_unchosen<R: Rng + ?Sized>(
     last as FileId
 }
 
+/// Bytes of slab one block of [`order_slots`]'s transpose rewrites: small
+/// enough that the block's slots stay in a core's L2 cache while the
+/// replica lists stream past.
+const TRANSPOSE_BLOCK_BYTES: usize = 1 << 19;
+
+/// The transpose's blocks number at most `Σ t(u) / (4K)`: each pass over
+/// the `K` lists must deliver four entries per list on average, because
+/// starting a list's next segment costs about as much as several entries.
+const TRANSPOSE_ENTRIES_PER_LIST_PASS: usize = 4;
+
+/// Below this many replica entries per library file, [`order_slots`]
+/// sorts each slot instead of transposing: with so few entries per list
+/// the capped blocks outgrow the cache, and the per-node sorts cost less.
+/// Measured on a 2-core Xeon VM at n ≈ 10⁵, M = 20: at 13 entries per
+/// file the transpose still won (30 against 39 ms), at 8 and below it
+/// lost.
+const TRANSPOSE_MIN_ENTRIES_PER_FILE: usize = 16;
+
+/// Rewrite every node's slot in ascending file order, given the replica
+/// lists, each ascending in node order.
+///
+/// The transpose walks the nodes in blocks of consecutive slots, and for
+/// each block walks the lists file by file, writing `f` at the end of
+/// each listed node's slot: every node receives its files in ascending
+/// order while the block's slots stay in cache. `cursors[f]` marks where
+/// the next block starts in list `f` (a list with no replica, or none
+/// left, ends the walk at once), and `lens` is refilled as each node's
+/// write cursor. Blocks are sized from the slab's bytes and capped by
+/// [`TRANSPOSE_ENTRIES_PER_LIST_PASS`], so the passes over the `K` lists
+/// cost at most a quarter of the entries they deliver. A library with
+/// fewer than [`TRANSPOSE_MIN_ENTRIES_PER_FILE`] entries per file sorts
+/// each slot instead; both give the same slots.
+fn order_slots(
+    slab: &mut [FileId],
+    lens: &mut [u32],
+    stride: usize,
+    replicas: &[Vec<NodeId>],
+    cursors: &mut [u32],
+) {
+    let n = lens.len();
+    let Some(block_len) = transpose_block_len(lens, std::mem::size_of_val(slab), replicas.len())
+    else {
+        for (u, &len) in lens.iter().enumerate() {
+            slab[u * stride..][..len as usize].sort_unstable();
+        }
+        return;
+    };
+    lens.fill(0);
+    cursors.fill(0);
+    for start in (0..n).step_by(block_len) {
+        let end = (start + block_len).min(n) as NodeId;
+        for ((f, reps), cursor) in (0..).zip(replicas).zip(cursors.iter_mut()) {
+            let mut c = *cursor as usize;
+            while let Some(&v) = reps.get(c).filter(|&&v| v < end) {
+                let len = &mut lens[v as usize];
+                slab[v as usize * stride + *len as usize] = f;
+                *len += 1;
+                c += 1;
+            }
+            *cursor = c as u32;
+        }
+    }
+}
+
+/// The node count of each block of [`order_slots`]'s transpose over slots
+/// of `slab_bytes` in all, holding `lens` entries from `k` files, or
+/// `None` when the library is too sparse and each slot is sorted instead.
+fn transpose_block_len(lens: &[u32], slab_bytes: usize, k: usize) -> Option<usize> {
+    let entries: usize = lens.iter().map(|&len| len as usize).sum();
+    if entries < TRANSPOSE_MIN_ENTRIES_PER_FILE * k.max(1) {
+        return None;
+    }
+    let blocks = slab_bytes
+        .div_ceil(TRANSPOSE_BLOCK_BYTES)
+        .min(entries / (TRANSPOSE_ENTRIES_PER_LIST_PASS * k));
+    Some(lens.len().div_ceil(blocks))
+}
+
 impl Placement {
     /// Generate a placement for `n` nodes over `library` with cache size
     /// `m` under `policy`.
     ///
     /// Cost, for the sparse policies: the `n·M` draws, in node order, each
     /// checked against a `K`-entry stamp of the files its node already
-    /// holds; a sort of each node's `t(u)` distinct files; and two passes
-    /// over the `Σ t(u)` entries, to count each file's replicas and to
-    /// fill lists allocated at exactly those counts. The distinct policy
-    /// rejects repeats; after 1,024 rejections in a row it draws the
-    /// node's next file with the same law by one O(K) scan over the files
-    /// the node lacks, so a vanishing popularity tail costs scans rather
-    /// than an unbounded number of draws.
+    /// holds; two passes over the `Σ t(u)` entries, to count each file's
+    /// replicas and to fill lists allocated at exactly those counts; and a
+    /// node-blocked transpose of those lists, which writes each node's
+    /// files back in ascending order one cache-sized block of nodes at a
+    /// time, with at most `Σ t(u) / 4K` passes over the `K` lists. A
+    /// library with fewer than 16 entries per file sorts each node's files
+    /// instead. The distinct policy rejects repeats; after 1,024
+    /// rejections in a row it draws the node's next file with the same law
+    /// by one O(K) scan over the files the node lacks, so a vanishing
+    /// popularity tail costs scans rather than an unbounded number of
+    /// draws.
     ///
     /// # Panics
     /// * `n == 0` or (`m == 0` under a non-full policy);
-    /// * `ProportionalDistinct` with `m > K`.
+    /// * `ProportionalDistinct` with `m > K`;
+    /// * a placement too large to allocate.
     pub fn generate<R: Rng + ?Sized>(
         n: u32,
         library: &Library,
@@ -238,16 +326,33 @@ impl Placement {
         policy: PlacementPolicy,
         rng: &mut R,
     ) -> Self {
+        Self::try_generate(n, library, m, policy, rng).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Placement::generate`], returning a [`BuildError`] instead of
+    /// aborting when a buffer sized by `n`, `K` or `M` cannot be
+    /// allocated. Every such buffer is reserved before it is written, so
+    /// an oversized placement fails before any draw is made.
+    ///
+    /// # Panics
+    /// On the invalid arguments [`Placement::generate`] rejects.
+    pub(crate) fn try_generate<R: Rng + ?Sized>(
+        n: u32,
+        library: &Library,
+        m: u32,
+        policy: PlacementPolicy,
+        rng: &mut R,
+    ) -> Result<Self, BuildError> {
         assert!(n > 0, "placement needs at least one node");
         let k = library.k();
         match policy {
-            PlacementPolicy::FullLibrary => Self {
+            PlacementPolicy::FullLibrary => Ok(Self {
                 n,
                 k,
                 m: k,
                 policy,
                 kind: Kind::Full,
-            },
+            }),
             PlacementPolicy::ProportionalWithReplacement => {
                 assert!(m > 0, "cache size must be positive");
                 Self::generate_sparse(n, library, m, policy, rng, false)
@@ -270,8 +375,8 @@ impl Placement {
     }
 
     /// Pass 1 of the build: each node's draws, in node order, become its
-    /// sorted distinct files in its slot; [`Placement::from_slots`] does
-    /// the rest.
+    /// distinct files, unsorted, in its slot; [`Placement::from_slots`]
+    /// does the rest.
     fn generate_sparse<R: Rng + ?Sized>(
         n: u32,
         library: &Library,
@@ -279,15 +384,19 @@ impl Placement {
         policy: PlacementPolicy,
         rng: &mut R,
         distinct: bool,
-    ) -> Self {
+    ) -> Result<Self, BuildError> {
         let k = library.k();
         let stride = m.min(k) as usize;
-        let mut slab: Vec<FileId> = vec![0; n as usize * stride];
-        let mut lens = vec![0u32; n as usize];
+        // The largest buffer first: an oversized network fails here.
+        let mut slab: Vec<FileId> =
+            BuildError::reserve(n as u64 * stride as u64, "placement slots")?;
+        let mut lens: Vec<u32> = BuildError::reserve(n.into(), "per-node file counts")?;
         // `seen[f] == u` once node `u` has drawn `f`: a repeat is found by
-        // one load, so only the distinct files are ever sorted.
-        let mut seen: Vec<NodeId> = vec![NodeId::MAX; k as usize];
-        let mut draws: Vec<FileId> = vec![0; m as usize];
+        // one load.
+        let mut seen: Vec<NodeId> = BuildError::reserve(k.into(), "draw stamps")?;
+        seen.resize(k as usize, NodeId::MAX);
+        let mut draws: Vec<FileId> = BuildError::reserve(m.into(), "draw buffer")?;
+        draws.resize(m as usize, 0);
         for u in 0..n {
             let mut len = 0usize;
             if distinct {
@@ -318,10 +427,9 @@ impl Placement {
                     seen[f as usize] = u;
                 }
             }
-            let files = &mut draws[..len];
-            files.sort_unstable();
-            slab[u as usize * stride..][..len].copy_from_slice(files);
-            lens[u as usize] = len as u32;
+            slab.extend_from_slice(&draws[..len]);
+            slab.resize(slab.len() + stride - len, 0);
+            lens.push(len as u32);
         }
         Self::from_slots(n, k, m, policy, slab, lens)
     }
@@ -339,61 +447,62 @@ impl Placement {
     pub fn from_node_files(n: u32, k: u32, m: u32, lists: Vec<Vec<FileId>>) -> Self {
         assert_eq!(lists.len(), n as usize, "need one list per node");
         let stride = m.min(k) as usize;
-        let mut slab: Vec<FileId> = vec![0; n as usize * stride];
-        let mut lens = vec![0u32; n as usize];
-        for (u, mut files) in lists.into_iter().enumerate() {
-            files.sort_unstable();
-            files.dedup();
-            assert!(
-                files.len() <= m as usize,
-                "node {u} holds {} distinct files > M={m}",
-                files.len()
-            );
-            if let Some(&f) = files.last() {
+        let mut slab: Vec<FileId> = Vec::with_capacity(n as usize * stride);
+        let mut lens = Vec::with_capacity(n as usize);
+        let mut seen: Vec<NodeId> = vec![NodeId::MAX; k as usize];
+        for (u, files) in (0..n).zip(lists) {
+            let start = slab.len();
+            for f in files {
                 assert!(f < k, "file id {f} out of range (K={k})");
+                if seen[f as usize] != u {
+                    seen[f as usize] = u;
+                    slab.push(f);
+                }
             }
-            slab[u * stride..][..files.len()].copy_from_slice(&files);
-            lens[u] = files.len() as u32;
+            let len = slab.len() - start;
+            assert!(
+                len <= m as usize,
+                "node {u} holds {len} distinct files > M={m}"
+            );
+            slab.resize(start + stride, 0);
+            lens.push(len as u32);
         }
         let policy = PlacementPolicy::ProportionalWithReplacement;
-        Self::from_slots(n, k, m, policy, slab, lens)
+        Self::from_slots(n, k, m, policy, slab, lens).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Pass 2 of both constructors, given every node's sorted distinct
-    /// files in its slot: count each file's replicas, allocate each
-    /// replica list at exactly that size, and fill the lists in ascending
-    /// node order, so they come out sorted without a search.
+    /// Pass 2 of both constructors, given every node's distinct files in
+    /// its slot: count each file's replicas, allocate each replica list at
+    /// exactly that size, fill the lists in ascending node order, so they
+    /// come out sorted without a search, and then sort the slots from
+    /// them ([`order_slots`]).
     fn from_slots(
         n: u32,
         k: u32,
         m: u32,
         policy: PlacementPolicy,
-        slab: Vec<FileId>,
-        lens: Vec<u32>,
-    ) -> Self {
+        mut slab: Vec<FileId>,
+        mut lens: Vec<u32>,
+    ) -> Result<Self, BuildError> {
         let stride = m.min(k) as usize;
-        let slots = || {
-            lens.iter()
-                .enumerate()
-                .map(|(u, &len)| &slab[u * stride..][..len as usize])
-        };
-        let mut counts = vec![0u32; k as usize];
-        for files in slots() {
-            for &f in files {
+        let mut counts: Vec<u32> = BuildError::reserve(k.into(), "replica counts")?;
+        counts.resize(k as usize, 0);
+        for (u, &len) in lens.iter().enumerate() {
+            for &f in &slab[u * stride..][..len as usize] {
                 counts[f as usize] += 1;
             }
         }
-        let mut replicas: Vec<Vec<NodeId>> = counts
-            .iter()
-            .map(|&c| Vec::with_capacity(c as usize))
-            .collect();
-        for (u, files) in slots().enumerate() {
-            for &f in files {
+        let mut replicas: Vec<Vec<NodeId>> = BuildError::reserve(k.into(), "replica lists")?;
+        replicas.extend(counts.iter().map(|&c| Vec::with_capacity(c as usize)));
+        for (u, &len) in lens.iter().enumerate() {
+            for &f in &slab[u * stride..][..len as usize] {
                 replicas[f as usize].push(u as NodeId);
             }
         }
+        // The counts are spent: they become the transpose's list cursors.
+        order_slots(&mut slab, &mut lens, stride, &replicas, &mut counts);
         let dense = DenseIndex::build(n, &replicas);
-        Self {
+        Ok(Self {
             n,
             k,
             m,
@@ -404,7 +513,7 @@ impl Placement {
                 replicas,
                 dense,
             },
-        }
+        })
     }
 
     /// Full-replication placement (`M = K`) without materializing `n·K`
@@ -1117,6 +1226,26 @@ mod tests {
                 assert_eq!(reps.capacity(), reps.len(), "placement {i}, file {f}");
             }
         }
+    }
+
+    #[test]
+    fn transpose_block_plan() {
+        // The shapes of `tests/placement_build.rs`' transpose edges, which
+        // restate this plan: slots of 64 over 9,001 nodes fill five
+        // blocks of 512 KiB; 1,000 slots of 20 fit in one; ~70k entries
+        // over 4,096 files cap six blocks at four; 2k entries over 10⁵
+        // files sort; and so does a placement with no entries.
+        let plan = |len: u32, n: usize, stride: usize, k: usize| {
+            transpose_block_len(&vec![len; n], n * stride * 4, k)
+        };
+        assert_eq!(plan(45, 9001, 64, 256), Some(1801));
+        assert_eq!(plan(19, 1000, 20, 200), Some(1000));
+        assert_eq!(plan(6, 11_001, 64, 4096), Some(2751));
+        assert_eq!(plan(5, 400, 5, 100_000), None);
+        assert_eq!(plan(0, 10, 3, 3), None);
+        assert_eq!(plan(0, 0, 3, 0), None);
+        // Exactly 16 entries per file transposes, in at most 16 / 4 blocks.
+        assert_eq!(plan(16, 100_000, 16, 100_000), Some(25_000));
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! replica lists, dense-index assignment and sampled membership — and a
 //! build must leave the RNG exactly where the reference leaves it, so the
 //! number of draws is pinned too.
+//!
+//! The build writes each node's files back in order by a node-blocked
+//! transpose of the replica lists (or, for a library with few entries per
+//! file, by sorting each node's slot); `transpose_edges_match_the_plain_build`
+//! and `from_node_files_spans_transpose_blocks` hold regimes at the edges
+//! of its block plan.
 
 use paba_core::{Library, Placement, PlacementPolicy};
 use paba_popularity::{FileId, Popularity};
@@ -144,11 +150,10 @@ fn generate_matches_the_plain_build() {
     assert!(dense > 0 && sparse > 0, "dense {dense}, sparse {sparse}");
 }
 
-#[test]
-fn from_node_files_matches_the_plain_build() {
-    // Unsorted lists with repeats, at most M distinct files each.
-    let (n, k, m) = (200u32, 30u32, 5u32);
-    let mut rng = SmallRng::seed_from_u64(7);
+/// `n` unsorted lists with repeats, of at most `m` distinct files each
+/// (some empty).
+fn random_lists(n: u32, k: u32, m: u32, seed: u64) -> Vec<Vec<FileId>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
     let lists: Vec<Vec<FileId>> = (0..n)
         .map(|_| {
             let distinct = rng.gen_range(0..=m) as usize;
@@ -176,7 +181,100 @@ fn from_node_files_matches_the_plain_build() {
     assert!(lists.iter().any(|l| l.windows(2).any(|w| w[0] > w[1])));
     assert!(lists.iter().any(repeats));
     assert!(lists.iter().any(|l| l.is_empty()));
+    lists
+}
+
+#[test]
+fn from_node_files_matches_the_plain_build() {
+    let (n, k, m) = (200u32, 30u32, 5u32);
+    let lists = random_lists(n, k, m, 7);
     let p = Placement::from_node_files(n, k, m, lists.clone());
+    assert_same(&p, &Reference::from_node_files(n, k, lists), 4000, "lists");
+}
+
+/// The build's block plan, restated from `order_slots` in
+/// `crates/core/src/placement.rs`, where `tests::transpose_block_plan`
+/// pins the same numbers: `None` sorts each slot (fewer than 16 entries
+/// per file), `Some((blocks, block_len))` transposes in blocks of
+/// 512 KiB of slots, at most `Σ t(u) / 4K` of them.
+fn plan(p: &Placement) -> Option<(u32, u32)> {
+    let (n, k) = (p.n() as usize, p.k() as usize);
+    let entries: usize = (0..p.n()).map(|u| p.t_u(u) as usize).sum();
+    if entries < 16 * k {
+        return None;
+    }
+    let slab_bytes = n * p.m().min(p.k()) as usize * 4;
+    let blocks = slab_bytes.div_ceil(1 << 19).min(entries / (4 * k));
+    let block_len = n.div_ceil(blocks);
+    Some((n.div_ceil(block_len) as u32, block_len as u32))
+}
+
+#[test]
+fn transpose_edges_match_the_plain_build() {
+    use PlacementPolicy::{ProportionalDistinct as Distinct, ProportionalWithReplacement as Iid};
+    // (n, K, M, popularity, policy, the build's block plan).
+    type Regime = (
+        u32,
+        u32,
+        u32,
+        Popularity,
+        PlacementPolicy,
+        Option<(u32, u32)>,
+    );
+    let regimes: [Regime; 7] = [
+        // Five blocks of 1,801 nodes; the last holds 1,797.
+        (9001, 256, 64, Popularity::zipf(0.8), Iid, Some((5, 1801))),
+        // The whole network fits in one block.
+        (1000, 200, 20, Popularity::Uniform, Iid, Some((1, 1000))),
+        (
+            1000,
+            200,
+            20,
+            Popularity::zipf(1.0),
+            Distinct,
+            Some((1, 1000)),
+        ),
+        // The slots fill six blocks, but ~71k entries over 4,096 files cap
+        // them at four; ~3,800 files have no replica.
+        (11001, 4096, 64, Popularity::zipf(2.5), Iid, Some((4, 2751))),
+        // Far more files than entries (~2k entries, ~98k files empty):
+        // each slot is sorted instead.
+        (400, 100_000, 5, Popularity::zipf(0.8), Iid, None),
+        // Slot stride K: M > K with replacement, M = K distinct.
+        (12001, 16, 24, Popularity::Uniform, Iid, Some((2, 6001))),
+        (
+            12001,
+            16,
+            16,
+            Popularity::zipf(0.8),
+            Distinct,
+            Some((2, 6001)),
+        ),
+    ];
+    for (i, (n, k, m, popularity, policy, expected)) in regimes.into_iter().enumerate() {
+        let library = Library::new(k, popularity);
+        let what = format!("edge regime {i}");
+        let mut built_rng = SmallRng::seed_from_u64(11);
+        let p = Placement::generate(n, &library, m, policy, &mut built_rng);
+        assert_eq!(plan(&p), expected, "{what}: block plan");
+        let mut ref_rng = SmallRng::seed_from_u64(11);
+        let r = Reference::generate(n, &library, m, policy == Distinct, &mut ref_rng);
+        assert_same(&p, &r, 2000, &what);
+        assert_eq!(built_rng.next_u64(), ref_rng.next_u64(), "{what}: draws");
+        if i == 3 {
+            let empty = r.replicas.iter().filter(|l| l.is_empty()).count();
+            assert!(empty > 1000, "{what}: {empty} uncached files");
+        }
+    }
+}
+
+#[test]
+fn from_node_files_spans_transpose_blocks() {
+    // ~290k entries over 300 files in 9,001 slots of 64: five blocks.
+    let (n, k, m) = (9001u32, 300u32, 64u32);
+    let lists = random_lists(n, k, m, 8);
+    let p = Placement::from_node_files(n, k, m, lists.clone());
+    assert_eq!(plan(&p), Some((5, 1801)));
     assert_same(&p, &Reference::from_node_files(n, k, lists), 4000, "lists");
 }
 

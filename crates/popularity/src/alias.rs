@@ -7,14 +7,19 @@
 
 use crate::FileId;
 use rand::Rng;
+use std::collections::TryReserveError;
 
 /// Alias table for a discrete distribution over `0..k`.
+///
+/// A draw picks cell `i` with `gen_range(0..k)`, then keeps `i` when one
+/// `gen::<f64>()` falls below the cell's threshold and returns its alias
+/// otherwise. Each cell holds its threshold (8 bytes) and its alias
+/// (4 bytes) side by side in one 16-byte slot, so a draw reads one cache
+/// line whether it keeps `i` or takes the alias.
 #[derive(Clone, Debug)]
 pub struct AliasTable {
-    /// Acceptance threshold per cell, scaled to [0, 1].
-    prob: Vec<f64>,
-    /// Alias target per cell.
-    alias: Vec<FileId>,
+    /// Cell `i`: its acceptance threshold, scaled to [0, 1], and its alias.
+    cells: Vec<(f64, FileId)>,
 }
 
 impl AliasTable {
@@ -22,8 +27,17 @@ impl AliasTable {
     ///
     /// # Panics
     /// If `weights` is empty, contains a negative/non-finite value, or sums
-    /// to zero.
+    /// to zero, or if the table cannot be allocated.
     pub fn new(weights: &[f64]) -> Self {
+        Self::try_new(weights).expect("alias table allocation failed")
+    }
+
+    /// [`AliasTable::new`], returning the allocation error of a table too
+    /// large for memory instead of aborting.
+    ///
+    /// # Panics
+    /// On the invalid weights [`AliasTable::new`] rejects.
+    pub fn try_new(weights: &[f64]) -> Result<Self, TryReserveError> {
         let k = weights.len();
         assert!(k > 0, "alias table needs ≥1 weight");
         assert!(
@@ -35,11 +49,14 @@ impl AliasTable {
 
         // Vose's algorithm with two worklists of under/over-full cells.
         let scale = k as f64 / sum;
-        let mut scaled: Vec<f64> = weights.iter().map(|w| w * scale).collect();
-        let mut prob = vec![1.0f64; k];
-        let mut alias: Vec<FileId> = (0..k as u32).collect();
-        let mut small: Vec<u32> = Vec::with_capacity(k);
-        let mut large: Vec<u32> = Vec::with_capacity(k);
+        let (mut scaled, mut cells) = (Vec::new(), Vec::new());
+        let (mut small, mut large) = (Vec::new(), Vec::new());
+        scaled.try_reserve_exact(k)?;
+        cells.try_reserve_exact(k)?;
+        small.try_reserve_exact(k)?;
+        large.try_reserve_exact(k)?;
+        scaled.extend(weights.iter().map(|w| w * scale));
+        cells.extend((0..k as FileId).map(|i| (1.0f64, i)));
         for (i, &p) in scaled.iter().enumerate() {
             if p < 1.0 {
                 small.push(i as u32);
@@ -49,8 +66,7 @@ impl AliasTable {
         }
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
+            cells[s as usize] = (scaled[s as usize], l);
             scaled[l as usize] -= 1.0 - scaled[s as usize];
             if scaled[l as usize] < 1.0 {
                 large.pop();
@@ -59,16 +75,15 @@ impl AliasTable {
         }
         // Numerical leftovers: both lists drain to cells with weight ~1.
         for &i in small.iter().chain(large.iter()) {
-            prob[i as usize] = 1.0;
-            alias[i as usize] = i;
+            cells[i as usize] = (1.0, i);
         }
-        Self { prob, alias }
+        Ok(Self { cells })
     }
 
     /// Number of categories.
     #[inline]
     pub fn len(&self) -> usize {
-        self.prob.len()
+        self.cells.len()
     }
 
     /// True when the table has exactly one category.
@@ -80,23 +95,23 @@ impl AliasTable {
     /// Draw a category in O(1).
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> FileId {
-        let k = self.prob.len();
-        let i = rng.gen_range(0..k);
-        if rng.gen::<f64>() < self.prob[i] {
+        let i = rng.gen_range(0..self.cells.len());
+        let (prob, alias) = self.cells[i];
+        if rng.gen::<f64>() < prob {
             i as FileId
         } else {
-            self.alias[i]
+            alias
         }
     }
 
     /// Exact probability this table assigns to category `i` (reconstructed
     /// from the internal representation; used by tests).
     pub fn reconstructed_probability(&self, i: FileId) -> f64 {
-        let k = self.prob.len() as f64;
-        let mut p = self.prob[i as usize];
-        for (j, &a) in self.alias.iter().enumerate() {
+        let k = self.cells.len() as f64;
+        let mut p = self.cells[i as usize].0;
+        for (j, &(prob, a)) in self.cells.iter().enumerate() {
             if a == i && j as u32 != i {
-                p += 1.0 - self.prob[j];
+                p += 1.0 - prob;
             }
         }
         p / k

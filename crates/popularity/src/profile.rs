@@ -1,5 +1,7 @@
 //! Popularity profiles: Uniform, Zipf(γ), and custom weight vectors.
 
+use std::collections::TryReserveError;
+
 /// A popularity profile over a library of `K` files.
 ///
 /// Profiles are *shapes*; they are instantiated for a concrete library size
@@ -54,30 +56,43 @@ impl Popularity {
     /// Normalized probability vector for a library of `k` files.
     ///
     /// # Panics
-    /// If `k == 0`, or the profile is `Custom` with a different length.
+    /// If `k == 0`, the profile is `Custom` with a different length, or
+    /// the vector cannot be allocated.
     pub fn weights(&self, k: usize) -> Vec<f64> {
+        self.try_weights(k)
+            .expect("popularity weights allocation failed")
+    }
+
+    /// [`Popularity::weights`], returning the allocation error of a
+    /// library too large for memory instead of aborting.
+    ///
+    /// # Panics
+    /// If `k == 0`, or the profile is `Custom` with a different length.
+    pub fn try_weights(&self, k: usize) -> Result<Vec<f64>, TryReserveError> {
         assert!(k > 0, "library must be non-empty");
+        let mut w: Vec<f64> = Vec::new();
+        w.try_reserve_exact(k)?;
         match self {
-            Popularity::Uniform => vec![1.0 / k as f64; k],
+            Popularity::Uniform => w.resize(k, 1.0 / k as f64),
             Popularity::Zipf { gamma } => {
-                let mut w: Vec<f64> = (1..=k).map(|i| (i as f64).powf(-gamma)).collect();
+                w.extend((1..=k).map(|i| (i as f64).powf(-gamma)));
                 let sum: f64 = w.iter().sum();
                 for x in w.iter_mut() {
                     *x /= sum;
                 }
-                w
             }
-            Popularity::Custom(w) => {
+            Popularity::Custom(c) => {
                 assert_eq!(
-                    w.len(),
+                    c.len(),
                     k,
                     "custom profile has {} weights but k={k}",
-                    w.len()
+                    c.len()
                 );
-                let sum: f64 = w.iter().sum();
-                w.iter().map(|x| x / sum).collect()
+                let sum: f64 = c.iter().sum();
+                w.extend(c.iter().map(|x| x / sum));
             }
         }
+        Ok(w)
     }
 
     /// Probability of file `i` in a library of `k` files.

@@ -7,6 +7,7 @@
 
 use crate::{AliasTable, FileId, Popularity};
 use rand::Rng;
+use std::collections::TryReserveError;
 
 /// A sampler over file ids `0..k` following a [`Popularity`] profile.
 #[derive(Clone, Debug)]
@@ -21,17 +22,25 @@ pub enum FileSampler {
 }
 
 impl FileSampler {
-    /// Build a sampler for `k` files under `profile`.
+    /// The sampler for `profile` over `weights.len()` files, where
+    /// `weights` are the profile's weights: no table for a uniform
+    /// profile, else an alias table over `weights`. Returns the allocation
+    /// error of a table too large for memory instead of aborting.
     ///
     /// # Panics
-    /// If `k == 0` or a custom profile's length differs from `k`.
-    pub fn new(profile: &Popularity, k: u32) -> Self {
+    /// If `weights` is empty or longer than `u32::MAX`, or on the invalid
+    /// weights [`AliasTable::new`] rejects.
+    pub fn try_from_weights(
+        profile: &Popularity,
+        weights: &[f64],
+    ) -> Result<Self, TryReserveError> {
+        let k = u32::try_from(weights.len()).expect("library size must fit in a u32");
         assert!(k > 0, "library must be non-empty");
-        if profile.is_uniform() {
+        Ok(if profile.is_uniform() {
             FileSampler::Uniform { k }
         } else {
-            FileSampler::Alias(AliasTable::new(&profile.weights(k as usize)))
-        }
+            FileSampler::Alias(AliasTable::try_new(weights)?)
+        })
     }
 
     /// Library size.
@@ -65,17 +74,21 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    fn sampler(profile: &Popularity, k: u32) -> FileSampler {
+        FileSampler::try_from_weights(profile, &profile.weights(k as usize)).unwrap()
+    }
+
     #[test]
     fn uniform_profile_uses_fast_path() {
-        let s = FileSampler::new(&Popularity::Uniform, 10);
+        let s = sampler(&Popularity::Uniform, 10);
         assert!(matches!(s, FileSampler::Uniform { k: 10 }));
-        let s = FileSampler::new(&Popularity::zipf(0.0), 5);
+        let s = sampler(&Popularity::zipf(0.0), 5);
         assert!(matches!(s, FileSampler::Uniform { k: 5 }));
     }
 
     #[test]
     fn zipf_profile_uses_alias() {
-        let s = FileSampler::new(&Popularity::zipf(0.9), 10);
+        let s = sampler(&Popularity::zipf(0.9), 10);
         assert!(matches!(s, FileSampler::Alias(_)));
         assert_eq!(s.k(), 10);
     }
@@ -84,7 +97,7 @@ mod tests {
     fn samples_in_range() {
         let mut rng = SmallRng::seed_from_u64(5);
         for profile in [Popularity::Uniform, Popularity::zipf(1.2)] {
-            let s = FileSampler::new(&profile, 17);
+            let s = sampler(&profile, 17);
             for _ in 0..1000 {
                 assert!(s.sample(&mut rng) < 17);
             }
@@ -93,7 +106,7 @@ mod tests {
 
     #[test]
     fn zipf_rank_ordering_respected_empirically() {
-        let s = FileSampler::new(&Popularity::zipf(1.0), 8);
+        let s = sampler(&Popularity::zipf(1.0), 8);
         let mut rng = SmallRng::seed_from_u64(77);
         let mut counts = [0u64; 8];
         for _ in 0..100_000 {
@@ -114,7 +127,7 @@ mod tests {
 
     #[test]
     fn sample_many_fills_buffer() {
-        let s = FileSampler::new(&Popularity::Uniform, 4);
+        let s = sampler(&Popularity::Uniform, 4);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut buf = vec![999u32; 64];
         s.sample_many(&mut rng, &mut buf);

@@ -17,7 +17,7 @@
 //!
 //! Every statistic is measured over the window `[warmup, horizon)` with
 //! one shared boundary predicate `t >= warmup` — time-averaged integrals
-//! ([`WindowAccumulator`]), event counts, response times (in-window
+//! (`WindowAccumulator`), event counts, response times (in-window
 //! *arrivals* only, so the warmup transient cannot contaminate them), and
 //! the maximum queue length (the pre-warmup peak is reported separately).
 
