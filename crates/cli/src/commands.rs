@@ -9,7 +9,7 @@ use paba_mcrunner::{run_parallel_live, LiveRun};
 use paba_popularity::Popularity;
 use paba_repro::churn_experiments::ChurnParams;
 use paba_repro::queueing_experiments::{check_queue, QueueingParams};
-use paba_repro::{check_network, ReproConfig, Suite};
+use paba_repro::{check_network, too_large, ReproConfig, Suite};
 use paba_telemetry::{
     AtomicRecorder, MetricsServer, NullRecorder, Recorder, Tee, TelemetrySnapshot, TraceReport,
 };
@@ -254,12 +254,6 @@ fn popularity(gamma: f64) -> Popularity {
     }
 }
 
-/// The error for a network of `--side`, `--files` and `--cache` that
-/// cannot be allocated.
-fn too_large(side: u32, k: u32, m: u32, e: &dyn std::fmt::Display) -> String {
-    format!("--side {side}, --files {k} and --cache {m} give a network too large for memory: {e}")
-}
-
 /// Build the network of the run flags, or say, naming them, that it does
 /// not fit in memory.
 fn try_network(
@@ -385,6 +379,9 @@ struct SimRunCfg {
     spec: WorkloadSpec,
 }
 
+/// Virtual nodes per server on the hash ring of `--placement dht`.
+const DHT_VNODES: u32 = 128;
+
 /// One `paba simulate` run: build the network, instantiate the workload,
 /// run the selected strategy with `rec` threaded through the hot path.
 /// A network too large for memory fails the run, before any draw, with
@@ -401,7 +398,7 @@ fn sim_run_one<Rec: Recorder + Clone>(
             cfg.side * cfg.side,
             &library,
             &paba_dht::DhtPlacementConfig {
-                vnodes: 128,
+                vnodes: DHT_VNODES,
                 salt: paba_util::mix_seed(cfg.seed, run_idx as u64),
                 rule: paba_dht::ReplicationRule::Proportional { m: cfg.m },
             },
@@ -527,6 +524,19 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
             return Err(format!(
                 "--cache {m} exceeds the files --placement distinct can draw \
                  ({drawable} of --files {k} have positive popularity at --gamma {gamma})"
+            ));
+        }
+    }
+    if placement == "dht" {
+        // The ring indexes its points with u32: side² · DHT_VNODES must fit.
+        let points = u64::from(side) * u64::from(side) * u64::from(DHT_VNODES);
+        if points > u64::from(u32::MAX) {
+            let max_side = (u64::from(u32::MAX) / u64::from(DHT_VNODES)).isqrt();
+            return Err(format!(
+                "--side {side} with --placement dht needs {points} ring points \
+                 ({DHT_VNODES} per server), more than a ring holds ({}); \
+                 --side must be at most {max_side}",
+                u32::MAX
             ));
         }
     }
@@ -2133,6 +2143,18 @@ mod tests {
             .unwrap_err();
             assert!(err.contains(flag), "{cmd}: {err}");
         }
+        // A network too large for memory passes those checks and fails
+        // each run's build when the placement slots (858 TB here) are
+        // reserved, before any large allocation and before any draw.
+        let err = suite_cmd(
+            "queueing --quick --runs 2 --side 46340 --files 100000 --cache 100000 --out none",
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("--side 46340, --files 100000 and --cache 100000")
+                && err.contains("placement slots"),
+            "{err}"
+        );
     }
 
     /// Run a `simulate`, `trace`, `queue` or `workload` command line.
@@ -2188,6 +2210,15 @@ mod tests {
             (
                 "queue --side 46340 --files 100000 --cache 100000",
                 "--cache 100000",
+            ),
+            // side² · 128 ring points pass u32::MAX from side 5793 up.
+            (
+                "simulate --placement dht --side 6000 --files 10 --cache 1 --runs 1",
+                "--side 6000 with --placement dht",
+            ),
+            (
+                "trace --placement dht --side 5793 --files 10 --cache 1 --runs 1",
+                "--side must be at most 5792",
             ),
             (
                 "workload generate --side 46340 --files 100000 --cache 100000 --out {out}",

@@ -151,7 +151,7 @@ impl Suite {
             }
             Suite::Queueing(p) => {
                 let regime = queueing_experiments::Regime::resolve(cfg.scale, p)?;
-                queueing_experiments::run(cfg, &regime, runs, live, &mut gates, &mut metrics);
+                queueing_experiments::run(cfg, &regime, runs, live, &mut gates, &mut metrics)?;
             }
         }
         Ok(Artifact {
@@ -196,6 +196,13 @@ pub fn check_network(
         ));
     }
     Ok(())
+}
+
+/// The error for a network of `--side`, `--files` and `--cache` that
+/// cannot be allocated, naming those flags. The suites and the run
+/// commands all report an oversized network with it.
+pub fn too_large(side: u32, k: u32, m: u32, e: &dyn std::fmt::Display) -> String {
+    format!("--side {side}, --files {k} and --cache {m} give a network too large for memory: {e}")
 }
 
 /// Render the gate results as the standard bench table.

@@ -26,7 +26,7 @@
 
 use crate::artifact::{Gate, Metric};
 use crate::experiments::Z_NONINF;
-use crate::{check_network, ReproConfig};
+use crate::{check_network, too_large, ReproConfig};
 use paba_core::{CacheNetwork, ProximityChoice, StaleLoad, Strategy};
 use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
 use paba_popularity::Popularity;
@@ -185,8 +185,9 @@ fn arm<S: Strategy<Torus>>(
 }
 
 /// One seeded network, three paired arms plus the M/M/1 reference → the
-/// metric row.
-fn run_one(regime: &Regime, rng: &mut SmallRng) -> [f64; N_METRICS] {
+/// metric row, or the error naming the flags when the network does not
+/// fit in memory (returned before any placement draw).
+fn run_one(regime: &Regime, rng: &mut SmallRng) -> Result<[f64; N_METRICS], String> {
     // Derive every arm's seed up front so arms stay independent of each
     // other's draw counts (and the row stays a pure function of `rng`).
     let net_seed: u64 = rng.gen();
@@ -203,7 +204,8 @@ fn run_one(regime: &Regime, rng: &mut SmallRng) -> [f64; N_METRICS] {
         .torus_side(regime.side)
         .library(regime.k, pop)
         .cache_size(regime.m)
-        .build(&mut net_rng);
+        .try_build(&mut net_rng)
+        .map_err(|e| too_large(regime.side, regime.k, regime.m, &e))?;
     let cfg = QueueSimConfig {
         lambda: regime.lambda,
         horizon: regime.horizon,
@@ -271,13 +273,14 @@ fn run_one(regime: &Regime, rng: &mut SmallRng) -> [f64; N_METRICS] {
     out[14] = mm1.mean_response;
     out[15] = mm1.sojourn_p50;
     out[16] = littles_gap(&mm1);
-    out
+    Ok(out)
 }
 
 /// The queueing experiment over `runs` seeded networks: metrics + the
-/// six temporal gates. `live` (the `--serve-metrics` path) exposes run
-/// progress to a concurrent scrape — the queueing engine itself records
-/// no counters, so the handle is purely an observer and results are
+/// six temporal gates, or the first run's error for a network too large
+/// for memory. `live` (the `--serve-metrics` path) exposes run progress
+/// to a concurrent scrape — the queueing engine itself records no
+/// counters, so the handle is purely an observer and results are
 /// identical with or without it.
 pub(crate) fn run(
     cfg: &ReproConfig,
@@ -286,9 +289,9 @@ pub(crate) fn run(
     live: Option<&LiveRun>,
     gates: &mut Vec<Gate>,
     metrics: &mut Vec<Metric>,
-) {
+) -> Result<(), String> {
     let master = mix_seed(cfg.seed, 0x9EE1E);
-    let rows: Vec<[f64; N_METRICS]> = match live {
+    let rows = match live {
         Some(l) => run_parallel_live(runs, master, cfg.threads, l, |_rec, _i, rng| {
             run_one(regime, rng)
         }),
@@ -296,6 +299,7 @@ pub(crate) fn run(
             run_one(regime, rng)
         }),
     };
+    let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let col = |i: usize| summarize(rows.iter().map(move |r| r[i]));
     let max_col = |i: usize| rows.iter().map(|r| r[i]).fold(f64::NEG_INFINITY, f64::max);
@@ -436,4 +440,5 @@ pub(crate) fn run(
             col(8).mean
         ),
     });
+    Ok(())
 }

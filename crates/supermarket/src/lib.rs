@@ -30,12 +30,12 @@
 //! gives tail `λ^k`; two-choice dispatch gives the doubly-exponential
 //! `λ^(2^k − 1)` — the queueing analogue of `log log n` balance.
 
-pub mod event;
+mod event;
 pub mod report;
 pub mod sim;
 pub mod sojourn;
+mod state;
 
-pub use event::OrderedTime;
 pub use report::QueueReport;
 pub use sim::{simulate_queueing, simulate_queueing_source, QueueSimConfig};
 pub use sojourn::SojournHistogram;

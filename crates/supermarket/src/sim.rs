@@ -1,12 +1,27 @@
 //! The discrete-event queueing engine.
 //!
-//! State per server: a FIFO queue of job arrival times (head = in
-//! service). Two event kinds drive the clock: Poisson arrivals (rate
-//! `λ·n`) and per-server departures (service ~ Exp(1), scheduled when a
-//! job reaches the head of its queue). Dispatch decisions delegate to a
+//! Two event kinds drive the clock: Poisson arrivals (rate `λ·n`) and
+//! per-server departures (service ~ Exp(1), scheduled when a job reaches
+//! the head of its queue). Dispatch decisions delegate to a
 //! [`paba_core::Strategy`] evaluated on the instantaneous queue-length
 //! vector, so the static strategies and the queueing model share one
 //! implementation of "two random nearby replicas, pick the shorter queue".
+//!
+//! The engine's state, O(n) plus one node per queued job, none of it
+//! scanned per event:
+//!
+//! * `lens`: the queue length of every server (the job in service
+//!   included), the load vector handed to the strategy, and their running
+//!   total;
+//! * `JobQueues`: every server's FIFO of queued arrival times, linked
+//!   through one pooled node array;
+//! * `DepartureTree`: a winner tree with one leaf per server holding the
+//!   departure time of its job in service (`+∞` while idle), whose root is
+//!   the next departure; a departure, a start of service and a server going
+//!   idle each replay one leaf-to-root path, O(log n);
+//! * `Occupancy`: `counts[k]`, the servers holding at least `k` jobs for
+//!   `k ≤ tail_cap`, and the highest occupied threshold `top`, so the
+//!   window integrals advance over `0..=top` only, O(top) per event.
 //!
 //! Requests come from any [`paba_core::RequestSource`]
 //! ([`simulate_queueing_source`]), so the `paba-workload` families —
@@ -21,15 +36,14 @@
 //! *arrivals* only, so the warmup transient cannot contaminate them), and
 //! the maximum queue length (the pre-warmup peak is reported separately).
 
-use crate::event::{Departure, OrderedTime};
+use crate::event::DepartureTree;
 use crate::report::QueueReport;
 use crate::sojourn::SojournHistogram;
+use crate::state::{JobQueues, Occupancy};
 use paba_core::{CacheNetwork, IidUniform, RequestSource, Strategy, UncachedPolicy};
 use paba_telemetry::LoadSeries;
 use paba_topology::Topology;
 use rand::Rng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// Configuration of a queueing run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,11 +89,14 @@ fn exp_sample<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> f64 {
 ///
 /// `integral[k]` accumulates `∫ counts[k] dt` and `queue_area`
 /// accumulates `∫ Σ_i len_i dt`, both restricted to the window. The
-/// engine keeps `Σ_i len_i` as a running integer total, so an event costs
-/// O(tail_cap), not O(n), and the area is exactly what a re-sum gives. The
-/// window opens at `t == warmup` — the same `>= warmup` predicate as the
-/// event-counted statistics, so an event landing exactly on the boundary
-/// belongs to the window for every statistic at once.
+/// engine keeps `Σ_i len_i` as a running integer total and passes only
+/// the occupied thresholds `counts[..=top]`, so an event costs O(top),
+/// not O(n) or O(tail_cap). Each threshold above `top` would add
+/// `0 × dt = +0.0`, which leaves its integral's bits unchanged, and the
+/// area is exactly what a re-sum gives. The window opens at
+/// `t == warmup` — the same `>= warmup` predicate as the event-counted
+/// statistics, so an event landing exactly on the boundary belongs to the
+/// window for every statistic at once.
 struct WindowAccumulator {
     warmup: f64,
     /// Last time the integrals were advanced to (0 until the window opens).
@@ -99,7 +116,8 @@ impl WindowAccumulator {
     }
 
     /// Credit `[max(last, warmup), t)` with the current state, then move
-    /// the cursor to `t`.
+    /// the cursor to `t`. Thresholds past the end of `counts` are
+    /// credited nothing.
     fn advance(&mut self, t: f64, counts: &[u32], total_len: u64) {
         if t >= self.warmup {
             let from = self.last.max(self.warmup);
@@ -174,17 +192,15 @@ where
 
     let n = net.n();
     let total_rate = cfg.lambda * n as f64;
-    // Queue state: FIFO of arrival times; parallel integer lengths handed
-    // to the dispatch strategy, and their running sum.
-    let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n as usize];
+    // Queue lengths, handed to the dispatch strategy, and their running
+    // sum; the queued jobs' arrival times; the pending departures.
     let mut lens: Vec<u32> = vec![0; n as usize];
     let mut total_len = 0u64;
-    let mut departures: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
+    let mut queues = JobQueues::new(n);
+    let mut departures = DepartureTree::new(n);
 
-    // Per-threshold occupancy: counts[k] = #servers with len ≥ k.
     let cap = cfg.tail_cap.max(1);
-    let mut counts: Vec<u32> = vec![0; cap + 1];
-    counts[0] = n;
+    let mut occupancy = Occupancy::new(n, cap);
     let mut acc = WindowAccumulator::new(cfg.warmup, cap);
 
     let mut clock;
@@ -202,11 +218,13 @@ where
     let mut series = LoadSeries::new(cfg.stride);
 
     loop {
-        // Next event: arrival or earliest departure.
-        let next_departure = departures.peek().map(|Reverse(d)| d.time.0);
-        let (t, is_arrival) = match next_departure {
-            Some(dt) if dt <= next_arrival => (dt, false),
-            _ => (next_arrival, true),
+        // Next event: the earliest departure (`+∞` while every server is
+        // idle) or the next arrival; a departure wins a tie.
+        let (departure, server) = departures.next();
+        let (t, is_arrival) = if departure <= next_arrival {
+            (departure, false)
+        } else {
+            (next_arrival, true)
         };
         // Seed the in-window maximum with the state carried across the
         // warmup boundary: the window's queue-length process starts from
@@ -217,10 +235,10 @@ where
         }
         if t >= cfg.horizon {
             debug_assert_eq!(total_len, lens.iter().map(|&l| l as u64).sum::<u64>());
-            acc.advance(cfg.horizon, &counts, total_len);
+            acc.advance(cfg.horizon, occupancy.occupied(), total_len);
             break;
         }
-        acc.advance(t, &counts, total_len);
+        acc.advance(t, occupancy.occupied(), total_len);
         clock = t;
 
         if is_arrival {
@@ -228,13 +246,11 @@ where
             let req = source.next_request(net, rng);
             let a = strategy.assign(net, &lens, req, rng);
             let s = a.server as usize;
-            queues[s].push_back(clock);
+            queues.push(s, clock);
             lens[s] += 1;
             total_len += 1;
             let new_len = lens[s];
-            if (new_len as usize) <= cap {
-                counts[new_len as usize] += 1;
-            }
+            occupancy.grew(new_len);
             if clock >= cfg.warmup {
                 max_queue = max_queue.max(new_len);
                 dispatched += 1;
@@ -245,19 +261,12 @@ where
             series.observe(arrival_idx, &lens);
             arrival_idx += 1;
             if new_len == 1 {
-                departures.push(Reverse(Departure {
-                    time: OrderedTime::new(clock + exp_sample(1.0, rng)),
-                    server: a.server,
-                }));
+                departures.schedule(a.server, clock + exp_sample(1.0, rng));
             }
         } else {
-            let Reverse(dep) = departures.pop().expect("peeked departure");
-            let s = dep.server as usize;
-            let arrived = queues[s].pop_front().expect("departure from empty queue");
-            let old_len = lens[s];
-            if (old_len as usize) <= cap {
-                counts[old_len as usize] -= 1;
-            }
+            let s = server as usize;
+            let arrived = queues.pop(s);
+            occupancy.shrank(lens[s]);
             lens[s] -= 1;
             total_len -= 1;
             // Count a completion only for jobs that *arrived* in the
@@ -271,10 +280,9 @@ where
                 sojourns.record(sojourn);
             }
             if lens[s] > 0 {
-                departures.push(Reverse(Departure {
-                    time: OrderedTime::new(clock + exp_sample(1.0, rng)),
-                    server: dep.server,
-                }));
+                departures.schedule(server, clock + exp_sample(1.0, rng));
+            } else {
+                departures.idle(server);
             }
         }
     }
@@ -413,6 +421,67 @@ mod tests {
         before.advance(4.0, &[1, 1, 0], 1);
         assert_eq!(before.last_advance(), 0.0);
         assert_eq!(before.queue_area, 0.0);
+    }
+
+    #[test]
+    fn bounded_integral_matches_the_full_one() {
+        // The engine integrates only the occupied thresholds
+        // `counts[..=top]`. Random queue dynamics drive one occupancy and
+        // two accumulators, one fed that prefix and one every threshold
+        // `0..=cap`, across the warmup boundary; after every event the
+        // integrals must agree to the bit. One cap sits below the longest
+        // queue, so `top` stays pinned at it for a while, and one above.
+        let n = 6u32;
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut lens = vec![0u32; n as usize];
+        let mut longest = 0u32;
+        // (server, arrival?, time step before the event)
+        let events: Vec<(usize, bool, f64)> = (0..4_000)
+            .map(|_| {
+                let s = rng.gen_range(0..n as usize);
+                let arrive = lens[s] == 0 || rng.gen_bool(0.5);
+                lens[s] = if arrive { lens[s] + 1 } else { lens[s] - 1 };
+                longest = longest.max(lens[s]);
+                (s, arrive, rng.gen::<f64>())
+            })
+            .collect();
+        for cap in [longest as usize / 2, longest as usize + 3] {
+            let mut occupancy = Occupancy::new(n, cap);
+            let mut bounded = WindowAccumulator::new(5.0, cap);
+            let mut full = WindowAccumulator::new(5.0, cap);
+            let mut lens = vec![0u32; n as usize];
+            let (mut t, mut total) = (0.0, 0u64);
+            let mut tops = std::collections::BTreeSet::new();
+            let bits = |acc: &WindowAccumulator| -> Vec<u64> {
+                acc.integral.iter().map(|x| x.to_bits()).collect()
+            };
+            for &(s, arrive, dt) in &events {
+                t += dt;
+                bounded.advance(t, occupancy.occupied(), total);
+                full.advance(t, occupancy.counts(), total);
+                assert_eq!(bits(&bounded), bits(&full), "cap {cap}, t {t}");
+                assert_eq!(bounded.queue_area.to_bits(), full.queue_area.to_bits());
+                let top = occupancy.occupied().len() - 1;
+                let longest_now = lens.iter().copied().max().unwrap() as usize;
+                assert_eq!(top, longest_now.min(cap), "cap {cap}, lens {lens:?}");
+                tops.insert(top);
+                if arrive {
+                    lens[s] += 1;
+                    total += 1;
+                    occupancy.grew(lens[s]);
+                } else {
+                    occupancy.shrank(lens[s]);
+                    lens[s] -= 1;
+                    total -= 1;
+                }
+            }
+            // Anti-vacuity: the window opened, `top` ranged over many
+            // thresholds, and it reached the cap only when that sits below
+            // the longest queue.
+            assert!(full.last_advance() >= 5.0 && full.integral[1] > 0.0);
+            assert!(tops.len() > 5, "cap {cap}: tops {tops:?}");
+            assert_eq!(tops.contains(&cap), cap < longest as usize, "cap {cap}");
+        }
     }
 
     #[test]
