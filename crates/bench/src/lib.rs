@@ -1,4 +1,5 @@
-//! Shared harness for the figure/table regeneration benches.
+//! Shared harness for the figure/table regeneration benches, and the
+//! [`report`] reader behind `paba report`.
 //!
 //! Every bench target in this crate reproduces one figure or table of
 //! Pourmiri et al. (IPDPS 2017): it sweeps the paper's parameter grid,
@@ -11,10 +12,7 @@
 //! Environment knobs (see [`paba_util::envcfg`]): `PABA_RUNS`,
 //! `PABA_SEED`, `PABA_SCALE=quick|default|full`.
 
-pub mod diff;
-pub mod profile;
 pub mod report;
-pub mod throughput;
 
 use paba_core::{
     simulate_source, CacheNetwork, NearestReplica, PlacementPolicy, ProximityChoice, UncachedPolicy,

@@ -1,20 +1,18 @@
 //! `paba report`: one markdown document over every committed artifact.
 //!
-//! The repo accumulates one `BENCH_*.json` per harness (throughput grid,
-//! profile breakdown, repro gates) and their schemas are versioned, so
-//! the perf trajectory ROADMAP item 3 tracks is machine-readable — but
-//! scattered. This module folds every artifact in a directory into a
-//! single report: per-regime throughput/speedup tables, the repro gate
-//! summary, the profile sampler-path breakdown, and — the part a human
-//! cannot eyeball — **cross-artifact provenance consistency checks**:
+//! The repo commits one golden `BENCH_*.json` per gated suite (repro,
+//! churn, queueing), each with a versioned schema. This module folds
+//! every artifact in a directory into a single report: an inventory,
+//! each suite's gate summary, and — the part a human cannot eyeball —
+//! **cross-artifact provenance consistency checks**:
 //!
 //! * hard failures (exit-nonzero): unparseable artifact, unknown schema
-//!   id, a provenance block whose embedded schema or seed contradicts the
+//!   id, a missing provenance block (every writer stamps one), a
+//!   provenance block whose embedded schema or seed contradicts the
 //!   artifact carrying it;
-//! * warnings (reported, non-fatal): missing provenance (artifacts
-//!   written before the provenance layer), debug-build measurements,
-//!   scratch artifacts (`*_fresh*`) that should not be committed, and
-//!   seed disagreement across artifacts.
+//! * warnings (reported, non-fatal): debug-build measurements, scratch
+//!   artifacts (`*_fresh*`) that should not be committed, and seed
+//!   disagreement across artifacts.
 
 use std::path::Path;
 
@@ -24,7 +22,7 @@ use paba_util::{schema, Provenance, Table};
 /// One parsed artifact plus everything the checks derived from it.
 #[derive(Debug)]
 pub struct ReportArtifact {
-    /// File name (not path), e.g. `BENCH_throughput.json`.
+    /// File name (not path), e.g. `BENCH_repro.json`.
     pub name: String,
     /// Top-level `"schema"` value (empty when absent).
     pub schema: String,
@@ -65,116 +63,6 @@ pub fn collect_dir(dir: &Path) -> Result<Vec<(String, String)>, String> {
     Ok(files)
 }
 
-fn fmt_f64(v: Option<f64>, digits: usize) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.digits$}"),
-        _ => "-".into(),
-    }
-}
-
-fn throughput_section(out: &mut String, doc: &Json) {
-    let Some(ms) = doc.get("measurements").and_then(Json::as_arr) else {
-        return;
-    };
-    let mut t = Table::new([
-        "regime",
-        "n",
-        "req/s (hybrid)",
-        "speedup vs exact",
-        "max load",
-    ]);
-    for m in ms {
-        if m.get("sampler").and_then(Json::as_str) != Some("hybrid") {
-            continue;
-        }
-        t.push_row([
-            m.get("label").and_then(Json::as_str).unwrap_or("?").into(),
-            m.get("n")
-                .and_then(Json::as_u64)
-                .map_or("-".into(), |n| n.to_string()),
-            fmt_f64(m.get("rps").and_then(Json::as_f64), 0),
-            m.get("speedup_vs_exact")
-                .and_then(Json::as_f64)
-                .filter(|s| s.is_finite())
-                .map_or("-".into(), |s| format!("{s:.2}x")),
-            m.get("max_load")
-                .and_then(Json::as_u64)
-                .map_or("-".into(), |l| l.to_string()),
-        ]);
-    }
-    out.push_str(&t.to_markdown());
-    out.push('\n');
-}
-
-fn profile_section(out: &mut String, doc: &Json) {
-    if let Some(points) = doc.get("points").and_then(Json::as_arr) {
-        let mut t = Table::new([
-            "regime",
-            "requests",
-            "dominant path",
-            "share",
-            "budget-exhausted",
-        ]);
-        for p in points {
-            let requests = p.get("requests").and_then(Json::as_f64).unwrap_or(0.0);
-            let mut dominant = ("-".to_string(), 0.0f64);
-            if let Some(Json::Obj(paths)) = p.get("telemetry").and_then(|t| t.get("sampler_paths"))
-            {
-                for (path, count) in paths {
-                    let c = count.as_f64().unwrap_or(0.0);
-                    if c > dominant.1 {
-                        dominant = (path.clone(), c);
-                    }
-                }
-            }
-            let share = if requests > 0.0 {
-                format!("{:.1}%", dominant.1 * 100.0 / requests)
-            } else {
-                "-".into()
-            };
-            let budget = p
-                .get("telemetry")
-                .and_then(|t| t.get("counters"))
-                .and_then(|c| c.get("rejection-budget-exhausted"))
-                .and_then(Json::as_u64);
-            t.push_row([
-                p.get("label").and_then(Json::as_str).unwrap_or("?").into(),
-                format!("{requests:.0}"),
-                dominant.0,
-                share,
-                budget.map_or("-".into(), |b| b.to_string()),
-            ]);
-        }
-        out.push_str(&t.to_markdown());
-        out.push('\n');
-    }
-    match doc.get("baseline") {
-        Some(Json::Null) | None => {}
-        Some(b) => {
-            let geo = b.get("geo_mean_ratio").and_then(Json::as_f64);
-            let pass = b.get("pass").and_then(Json::as_bool).unwrap_or(false);
-            out.push_str(&format!(
-                "\nNullRecorder baseline gate: geo-mean ratio {} (tolerance {}) — **{}**\n",
-                fmt_f64(geo, 3),
-                fmt_f64(b.get("tolerance").and_then(Json::as_f64), 2),
-                if pass { "pass" } else { "FAIL" },
-            ));
-        }
-    }
-    match doc.get("alloc") {
-        Some(Json::Null) | None => {}
-        Some(a) => out.push_str(&format!(
-            "\nAllocator (alloc-track build): {} allocations, peak {} bytes live\n",
-            a.get("allocations")
-                .and_then(Json::as_u64)
-                .map_or("-".into(), |v| v.to_string()),
-            a.get("peak_bytes")
-                .and_then(Json::as_u64)
-                .map_or("-".into(), |v| v.to_string()),
-        )),
-    }
-}
-
 fn repro_section(out: &mut String, doc: &Json) {
     let gates = doc.get("gates").and_then(Json::as_arr).unwrap_or(&[]);
     let passed = gates
@@ -205,8 +93,6 @@ fn repro_section(out: &mut String, doc: &Json) {
 fn section_for(out: &mut String, a: &ReportArtifact) {
     out.push_str(&format!("\n## {} (`{}`)\n\n", a.name, a.schema));
     match a.schema.as_str() {
-        s if s == schema::THROUGHPUT => throughput_section(out, &a.doc),
-        s if s == schema::PROFILE => profile_section(out, &a.doc),
         s if s == schema::REPRO => repro_section(out, &a.doc),
         // Churn and queueing artifacts share the gates+metrics layout of
         // the repro suite; only the schema id (and experiment set) differ.
@@ -225,7 +111,8 @@ fn check_consistency(
 ) {
     let mut seeds: Vec<(String, u64)> = Vec::new();
     for a in artifacts {
-        if !schema::ALL.contains(&a.schema.as_str()) {
+        let known = schema::ALL.contains(&a.schema.as_str());
+        if !known {
             failures.push(format!(
                 "{}: unknown schema id {:?} (known: {:?})",
                 a.name,
@@ -245,8 +132,11 @@ fn check_consistency(
             seeds.push((a.name.clone(), seed));
         }
         match &a.provenance {
-            None => warnings.push(format!(
-                "{}: no provenance block (written before the provenance layer?)",
+            // An unknown schema has failed already; its missing block is
+            // not a second finding.
+            None if !known => {}
+            None => failures.push(format!(
+                "{}: no provenance block (every artifact writer stamps one)",
                 a.name
             )),
             Some(p) => {
@@ -390,41 +280,7 @@ pub fn report_dir(dir: &Path) -> Result<Report, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{profile_point, to_json as profile_json};
-    use crate::throughput::{measure_point, to_json as throughput_json, ThroughputPoint};
     use paba_repro::{Artifact, Gate, Metric, SCHEMA};
-    use paba_util::envcfg::Scale;
-
-    fn tiny_throughput() -> String {
-        let point = ThroughputPoint {
-            label: "tiny".into(),
-            side: 8,
-            k: 10,
-            m: 2,
-            gamma: 0.0,
-            full: false,
-            radius: Some(2),
-        };
-        throughput_json(&measure_point(&point, 3, 200, 1), 3, Scale::Quick)
-    }
-
-    fn tiny_profile() -> String {
-        let point = ThroughputPoint {
-            label: "tiny".into(),
-            side: 8,
-            k: 10,
-            m: 2,
-            gamma: 0.0,
-            full: false,
-            radius: Some(2),
-        };
-        profile_json(
-            &[profile_point(&point, 3, 1, 100, Some(1))],
-            None,
-            3,
-            Scale::Quick,
-        )
-    }
 
     fn tiny_repro() -> String {
         Artifact {
@@ -499,13 +355,11 @@ mod tests {
     fn report_over_all_writers_is_clean() {
         let files = vec![
             ("BENCH_churn.json".to_string(), tiny_churn()),
-            ("BENCH_profile.json".to_string(), tiny_profile()),
             ("BENCH_queueing.json".to_string(), tiny_queueing()),
             ("BENCH_repro.json".to_string(), tiny_repro()),
-            ("BENCH_throughput.json".to_string(), tiny_throughput()),
         ];
         let r = build_report(&files);
-        assert_eq!(r.artifacts, 5);
+        assert_eq!(r.artifacts, 3);
         assert!(r.failures.is_empty(), "{:?}", r.failures);
         // Under `cargo test` the writers stamp build_profile = debug, which
         // is a legitimate warning; nothing else should fire.
@@ -515,13 +369,14 @@ mod tests {
             r.warnings
         );
         assert!(r.markdown.contains("# paba benchmark report"));
-        assert!(r.markdown.contains("paba-throughput/1"));
+        assert!(r.markdown.contains("paba-repro/1"));
         assert!(r.markdown.contains("paba-churn/1"));
         assert!(r.markdown.contains("paba-queueing/1"));
         assert!(!r.markdown.contains("no renderer for this schema"));
-        assert!(r.markdown.contains("Theorem gates: **1/1 passed**"));
-        assert!(r.markdown.contains("speedup vs exact"));
-        assert!(r.markdown.contains("dominant path"));
+        assert_eq!(
+            r.markdown.matches("Theorem gates: **1/1 passed**").count(),
+            3
+        );
         assert!(!r.markdown.contains("- FAIL:"));
     }
 
@@ -530,8 +385,6 @@ mod tests {
         // The report reader dispatches on paba_util::schema; every writer
         // must emit exactly those ids.
         for (json, want) in [
-            (tiny_throughput(), schema::THROUGHPUT),
-            (tiny_profile(), schema::PROFILE),
             (tiny_repro(), schema::REPRO),
             (tiny_churn(), schema::CHURN),
             (tiny_queueing(), schema::QUEUEING),
@@ -549,7 +402,7 @@ mod tests {
     fn provenance_schema_mismatch_is_a_failure() {
         let doctored = tiny_repro().replacen(
             "\"provenance\": {\"schema\": \"paba-repro/1\"",
-            "\"provenance\": {\"schema\": \"paba-profile/1\"",
+            "\"provenance\": {\"schema\": \"paba-churn/1\"",
             1,
         );
         let r = build_report(&[("BENCH_repro.json".into(), doctored)]);
@@ -572,13 +425,26 @@ mod tests {
     }
 
     #[test]
-    fn missing_provenance_and_fresh_name_warn_but_do_not_fail() {
-        let legacy = r#"{"schema": "paba-repro/1", "seed": 1, "gates": [], "metrics": []}"#;
-        let r = build_report(&[("BENCH_repro_fresh.json".into(), legacy.to_string())]);
+    fn fresh_name_warns_but_does_not_fail() {
+        let r = build_report(&[("BENCH_repro_fresh.json".into(), tiny_repro())]);
         assert!(r.failures.is_empty(), "{:?}", r.failures);
-        assert_eq!(r.warnings.len(), 2, "{:?}", r.warnings);
-        assert!(r.warnings.iter().any(|w| w.contains("no provenance")));
-        assert!(r.warnings.iter().any(|w| w.contains("scratch artifact")));
+        // Under `cargo test` the writer also stamps a debug build.
+        let warnings: Vec<&String> = r
+            .warnings
+            .iter()
+            .filter(|w| !w.contains("debug build"))
+            .collect();
+        assert_eq!(warnings.len(), 1, "{:?}", r.warnings);
+        assert!(warnings[0].contains("scratch artifact"));
+    }
+
+    #[test]
+    fn missing_provenance_is_a_failure() {
+        let legacy = r#"{"schema": "paba-repro/1", "seed": 1, "gates": [], "metrics": []}"#;
+        let r = build_report(&[("BENCH_repro.json".into(), legacy.to_string())]);
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].contains("no provenance"));
+        assert!(r.warnings.is_empty(), "{:?}", r.warnings);
     }
 
     #[test]

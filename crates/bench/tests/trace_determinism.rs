@@ -1,24 +1,32 @@
 //! End-to-end trace determinism and sampler-distribution checks.
 //!
-//! Two properties the tracing layer promises:
+//! Three properties the recording layers promise:
 //!
 //! 1. a *real* traced simulation (network build, Strategy II assignment,
 //!    load series) produces bit-identical event streams and time series
 //!    no matter how many mcrunner threads collect it;
 //! 2. reservoir sampling retains request indices uniformly — checked with
 //!    per-bucket z-scores and a χ²-style aggregate built from
-//!    [`paba_theory::bounds::binomial_sigma`].
+//!    [`paba_theory::bounds::binomial_sigma`];
+//! 3. per-worker [`AtomicRecorder`] snapshots merged after join (the
+//!    `paba simulate --telemetry` path) count the same sampler paths at
+//!    any thread count.
 
 use paba_core::{
-    simulate_source_profiled, CacheNetwork, PlacementPolicy, ProximityChoice, UncachedPolicy,
+    simulate_source_profiled, CacheNetwork, IidUniform, PlacementPolicy, ProximityChoice,
+    UncachedPolicy,
 };
-use paba_mcrunner::run_parallel_traced;
+use paba_mcrunner::{run_parallel_traced, run_parallel_with_state};
 use paba_popularity::Popularity;
-use paba_telemetry::{Recorder, Sampling, TraceConfig, TraceRecorder, TraceReport};
+use paba_telemetry::{
+    AtomicRecorder, Recorder, SamplerPath, Sampling, TelemetrySnapshot, TraceConfig, TraceRecorder,
+    TraceReport,
+};
 use paba_theory::bounds::binomial_sigma;
 use paba_topology::Torus;
 use paba_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 const SIDE: u32 = 8; // 64 nodes → 64 requests per run
 const RUNS: usize = 6;
@@ -125,4 +133,49 @@ fn reservoir_sample_is_uniform_over_request_indices() {
     // Sum of 8 squared z-scores ≈ χ²₇; 40 is far beyond any plausible
     // uniform-sampling draw (p < 1e-6).
     assert!(chi2 < 40.0, "χ² over {BUCKETS} buckets: {chi2:.1}");
+}
+
+/// Four Strategy II runs of 200 requests on one 100-node network, each
+/// worker thread recording into its own [`AtomicRecorder`]: the per-run
+/// max loads and the merged snapshot.
+fn recorded(threads: usize) -> (Vec<u32>, TelemetrySnapshot) {
+    let net: CacheNetwork<Torus> = CacheNetwork::builder()
+        .torus_side(10)
+        .library(50, Popularity::Uniform)
+        .cache_size(3)
+        .placement_policy(PlacementPolicy::ProportionalWithReplacement)
+        .build(&mut SmallRng::seed_from_u64(5));
+    let (reports, recorders) = run_parallel_with_state(
+        4,
+        5,
+        Some(threads),
+        None,
+        AtomicRecorder::new,
+        |rec, _i, rng| {
+            let mut s = ProximityChoice::two_choice(Some(3)).with_recorder(rec);
+            let mut source = IidUniform::new();
+            simulate_source_profiled(&net, &mut s, &mut source, 200, rng, rec)
+        },
+    );
+    let mut snapshot = TelemetrySnapshot::empty();
+    for rec in &recorders {
+        snapshot.merge(&rec.snapshot());
+    }
+    (reports.iter().map(|r| r.max_load()).collect(), snapshot)
+}
+
+#[test]
+fn snapshot_totals_independent_of_thread_count() {
+    let (loads1, snap1) = recorded(1);
+    let (loads4, snap4) = recorded(4);
+    assert_eq!(loads1, loads4);
+    assert_eq!(snap1.total_requests(), 4 * 200);
+    for path in SamplerPath::ALL {
+        assert_eq!(
+            snap1.path_count(path),
+            snap4.path_count(path),
+            "{} count drifted with thread count",
+            path.label()
+        );
+    }
 }

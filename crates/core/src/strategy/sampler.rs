@@ -28,8 +28,8 @@
 //!
 //! Every path draws uniformly from the same pool, so the mixture is
 //! exactly the paper's candidate distribution; only the wall-clock
-//! changes. The throughput harness (`paba-bench`, `BENCH_throughput.json`)
-//! holds the speedup to ≥ 5× on the sparse finite-radius regimes.
+//! changes. The repo benchmark (`perfbench/`) times it per assignment
+//! (`dispatch.assign_ns`) and reports its path mix (`sampler.share.*`).
 
 use crate::network::CacheNetwork;
 use crate::placement::Placement;
@@ -55,13 +55,13 @@ pub enum SamplerKind {
     Hybrid,
     /// Always materialize the pool per request by scanning whichever of
     /// the replica list / ball enumeration is smaller, then sample by
-    /// index — the pre-sampler behaviour, kept for A/B throughput
-    /// comparisons (`paba throughput` measures both).
+    /// index — the pre-sampler behaviour, kept as the oracle of the χ²
+    /// equivalence tests.
     ExactScan,
 }
 
 impl SamplerKind {
-    /// Stable label used by the throughput harness and JSON reports.
+    /// Stable kebab-case label.
     pub fn label(self) -> &'static str {
         match self {
             SamplerKind::Hybrid => "hybrid",
@@ -317,7 +317,7 @@ impl PoolSampler {
 
     /// The pre-sampler materialization: per-node scan of whichever side
     /// is smaller. Kept verbatim as the [`SamplerKind::ExactScan`]
-    /// baseline the throughput harness compares against.
+    /// oracle the χ² equivalence tests compare against.
     fn materialize_scan<T: Topology, Rec: Recorder>(
         &mut self,
         net: &CacheNetwork<T>,

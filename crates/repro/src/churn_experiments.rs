@@ -19,7 +19,7 @@
 
 use crate::artifact::{Gate, Metric};
 use crate::experiments::Z_NONINF;
-use crate::{check_network, ReproConfig};
+use crate::{check_network, too_large, ReproConfig};
 use paba_churn::{simulate_churn, ChurnCfg, ChurnSchedule, RepairPolicy, ScheduleSpec};
 use paba_core::{simulate_source, CacheNetwork, IidUniform, ProximityChoice, UncachedPolicy};
 use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
@@ -151,7 +151,10 @@ impl Regime {
     }
 }
 
-fn arm<F>(seed: u64, regime: &Regime, f: F) -> [f64; N_METRICS]
+/// Build the regime's network from `seed` and run one arm on it, or
+/// return the error naming the flags when the network does not fit in
+/// memory (before any placement draw).
+fn arm<F>(seed: u64, regime: &Regime, f: F) -> Result<[f64; N_METRICS], String>
 where
     F: FnOnce(&mut CacheNetwork<Torus>, &mut SmallRng) -> [f64; N_METRICS],
 {
@@ -165,12 +168,18 @@ where
         .torus_side(regime.side)
         .library(regime.k, pop)
         .cache_size(regime.m)
-        .build(&mut rng);
-    f(&mut net, &mut rng)
+        .try_build(&mut rng)
+        .map_err(|e| too_large(regime.side, regime.k, regime.m, &e))?;
+    Ok(f(&mut net, &mut rng))
 }
 
-/// One seeded network, three arms, one schedule → the metric row.
-fn run_one<R: Recorder>(regime: &Regime, rng: &mut SmallRng, rec: &R) -> [f64; N_METRICS] {
+/// One seeded network, three arms, one schedule → the metric row, or
+/// the error naming the flags when the network does not fit in memory.
+fn run_one<R: Recorder>(
+    regime: &Regime,
+    rng: &mut SmallRng,
+    rec: &R,
+) -> Result<[f64; N_METRICS], String> {
     // Derive every arm's seed up front so arms stay independent of each
     // other's draw counts (and the row stays a pure function of `rng`).
     let net_seed: u64 = rng.gen();
@@ -179,15 +188,10 @@ fn run_one<R: Recorder>(regime: &Regime, rng: &mut SmallRng, rec: &R) -> [f64; N
 
     let n = regime.side * regime.side;
     let requests = 4 * n as u64;
-    let schedule = ChurnSchedule::generate(&regime.spec, n, regime.k, requests, schedule_seed);
-    let (crashes, leaves, _joins, _inserts) = schedule.counts();
-    let cycled_fraction = (crashes + leaves) as f64 / n as f64;
-    let nominal = n as u64 * regime.m as u64;
 
-    let mut out = [0.0; N_METRICS];
-    out[11] = cycled_fraction;
-
-    // Arm 1: static baseline — identical network seed, no events.
+    // Arm 1: static baseline — identical network seed, no events. It runs
+    // before the schedule is generated, so an oversized regime fails in
+    // its network build, before the schedule allocates n-entry vectors.
     let sim_static = arm(net_seed, regime, |net, _| {
         let mut strategy = ProximityChoice::two_choice(Some(regime.radius));
         let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
@@ -197,7 +201,15 @@ fn run_one<R: Recorder>(regime: &Regime, rng: &mut SmallRng, rec: &R) -> [f64; N
         o[0] = rep.max_load() as f64;
         o[1] = rep.comm_cost();
         o
-    });
+    })?;
+
+    let schedule = ChurnSchedule::generate(&regime.spec, n, regime.k, requests, schedule_seed);
+    let (crashes, leaves, _joins, _inserts) = schedule.counts();
+    let cycled_fraction = (crashes + leaves) as f64 / n as f64;
+    let nominal = n as u64 * regime.m as u64;
+
+    let mut out = [0.0; N_METRICS];
+    out[11] = cycled_fraction;
     out[0] = sim_static[0];
     out[1] = sim_static[1];
 
@@ -230,7 +242,7 @@ fn run_one<R: Recorder>(regime: &Regime, rng: &mut SmallRng, rec: &R) -> [f64; N
         o[5] = churn.migrations as f64;
         o[6] = mass as f64 / nominal as f64;
         o
-    });
+    })?;
     out[2] = repaired[2];
     out[3] = repaired[3];
     out[4] = repaired[2] - out[0]; // paired max-load difference
@@ -265,16 +277,17 @@ fn run_one<R: Recorder>(regime: &Regime, rng: &mut SmallRng, rec: &R) -> [f64; N
         o[9] = churn.retries as f64 / requests as f64;
         o[10] = churn.evictions as f64;
         o
-    });
+    })?;
     out[7] = unrepaired[7];
     out[8] = unrepaired[8];
     out[9] = unrepaired[9];
     out[10] = unrepaired[10];
-    out
+    Ok(out)
 }
 
 /// The churn experiment over `runs` seeded networks: metrics + the five
-/// robustness gates. `live` (the `--serve-metrics` path) shares one
+/// robustness gates, or the first run's error for a network too large
+/// for memory. `live` (the `--serve-metrics` path) shares one
 /// recorder across every worker so a concurrent scrape sees churn events,
 /// retries, and repair migrations as they happen — the recorder never
 /// touches the RNG stream, so results are identical with or without it.
@@ -285,9 +298,9 @@ pub(crate) fn run(
     live: Option<&LiveRun>,
     gates: &mut Vec<Gate>,
     metrics: &mut Vec<Metric>,
-) {
+) -> Result<(), String> {
     let master = mix_seed(cfg.seed, 0xC4234);
-    let rows: Vec<[f64; N_METRICS]> = match live {
+    let rows = match live {
         Some(l) => run_parallel_live(runs, master, cfg.threads, l, |rec, _i, rng| {
             run_one(regime, rng, rec)
         }),
@@ -295,6 +308,7 @@ pub(crate) fn run(
             run_one(regime, rng, &NullRecorder)
         }),
     };
+    let rows = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let col = |i: usize| summarize(rows.iter().map(move |r| r[i]));
     let min_col = |i: usize| rows.iter().map(|r| r[i]).fold(f64::INFINITY, f64::min);
@@ -405,4 +419,5 @@ pub(crate) fn run(
              worst-run capacity evictions {worst_evictions:.0} (needs ≥ 1)"
         ),
     });
+    Ok(())
 }

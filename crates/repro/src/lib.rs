@@ -131,10 +131,11 @@ impl Suite {
         }
     }
 
-    /// Run the suite and assemble its artifact. `live` (the
-    /// `--serve-metrics` path) is fed by the churn and queueing runs; it
-    /// never touches the RNG stream, so the artifact is identical with or
-    /// without it.
+    /// Run the suite and assemble its artifact, or return the first
+    /// run's error for a churn or queueing network too large for memory.
+    /// `live` (the `--serve-metrics` path) is fed by the churn and
+    /// queueing runs; it never touches the RNG stream, so the artifact is
+    /// identical with or without it.
     pub fn run(&self, cfg: &ReproConfig, live: Option<&LiveRun>) -> Result<Artifact, String> {
         let runs = self.planned_runs(cfg);
         let mut gates = Vec::new();
@@ -147,7 +148,7 @@ impl Suite {
             }
             Suite::Churn(p) => {
                 let regime = churn_experiments::Regime::resolve(cfg.scale, p)?;
-                churn_experiments::run(cfg, &regime, runs, live, &mut gates, &mut metrics);
+                churn_experiments::run(cfg, &regime, runs, live, &mut gates, &mut metrics)?;
             }
             Suite::Queueing(p) => {
                 let regime = queueing_experiments::Regime::resolve(cfg.scale, p)?;

@@ -10,13 +10,13 @@
 //! The `paba` CLI does so behind its `alloc-track` cargo feature:
 //!
 //! ```text
-//! cargo run --release -p paba-cli --features alloc-track -- profile …
+//! cargo run --release -p paba-cli --features alloc-track -- simulate --serve-metrics …
 //! ```
 //!
 //! [`snapshot`] returns `None` until the first tracked allocation, which
-//! in practice means "the counting allocator is not installed" — callers
-//! (the profile artifact writer, the `/metrics` page) use that to omit
-//! allocator stats rather than report zeros.
+//! in practice means "the counting allocator is not installed" — the
+//! `/metrics` page uses that to omit allocator stats rather than report
+//! zeros.
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,7 +98,7 @@ pub struct AllocSnapshot {
 }
 
 impl AllocSnapshot {
-    /// Single-line JSON object (the `"alloc"` block of `paba-profile/1`).
+    /// Single-line JSON object of the four tallies.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"allocations\": {}, \"allocated_bytes\": {}, \"live_bytes\": {}, \"peak_bytes\": {}}}",

@@ -3,14 +3,14 @@
 //!
 //! Each enum carries a stable `usize` discriminant used as an array index
 //! in [`crate::AtomicRecorder`] and a kebab-case `label` used as a JSON
-//! key in the `paba-profile/1` artifact. Extend by appending — the JSON
+//! key in the `paba-telemetry/1` snapshot. Extend by appending — the JSON
 //! schema treats unknown keys as additive.
 
 /// Which candidate-materialization path served one sampler invocation.
 ///
 /// Exactly one path is recorded per assign request routed through
 /// `ProximityChoice`, so the per-path counts sum to the request count —
-/// the invariant `paba profile` asserts on its own artifact.
+/// the invariant `crates/core/tests/telemetry_paths.rs` pins per regime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum SamplerPath {

@@ -12,8 +12,9 @@
 //!   monomorphization, not per event.
 //! * [`NullRecorder`] — the default. Every method is an empty `#[inline]`
 //!   body and [`Recorder::ENABLED`] is `false`, so instrumented code
-//!   compiles to exactly the uninstrumented machine code. A CI throughput
-//!   gate (`paba profile --check`) keeps that claim honest.
+//!   compiles to exactly the uninstrumented machine code. The repo
+//!   benchmark (`perfbench/`) times its loops with it, and its
+//!   `telemetry.atomic_overhead` prices an [`AtomicRecorder`] against it.
 //! * [`AtomicRecorder`] — relaxed per-event atomic counters plus log₂-
 //!   bucket span histograms. Shareable across threads by reference; the
 //!   Monte-Carlo runner gives each worker thread its own instance and
@@ -24,7 +25,7 @@
 //!   recorder is disabled.
 //! * [`TelemetrySnapshot`] — a plain-data view with associative
 //!   [`TelemetrySnapshot::merge`], JSON serialization for the
-//!   `paba-profile/1` artifact, and a human-readable table.
+//!   `paba-telemetry/1` snapshot, and a human-readable table.
 //!
 //! On top of the aggregate counters sits the *time-resolved* layer:
 //!
@@ -41,9 +42,8 @@
 //!   (`/metrics`, `/healthz`) rendering a shared [`AtomicRecorder`]
 //!   snapshot plus runner progress while a run is still in flight.
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper surfacing
-//!   allocation count / bytes / peak in the profile artifact and on the
-//!   metrics page (installed by the CLI behind its `alloc-track`
-//!   feature).
+//!   allocation count / bytes / peak on the metrics page (installed by
+//!   the CLI behind its `alloc-track` feature).
 
 pub mod alloc;
 pub mod events;

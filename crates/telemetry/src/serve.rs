@@ -8,9 +8,9 @@
 //! snapshot plus runner progress); `GET /healthz` answers `ok`.
 //!
 //! The server is strictly additive: nothing in the hot path knows it
-//! exists. When `--serve-metrics` is absent no listener is bound, the
-//! [`crate::NullRecorder`] monomorphizations are untouched, and the
-//! `paba profile --check` non-regression gate keeps that claim honest.
+//! exists. When `--serve-metrics` is absent no listener is bound and the
+//! [`crate::NullRecorder`] monomorphizations are untouched; those are
+//! what the repo benchmark (`perfbench/`) times.
 //!
 //! [`render_metrics`] is the shared renderer: one pass over a
 //! [`TelemetrySnapshot`] (sampler-path counters, auxiliary counters,

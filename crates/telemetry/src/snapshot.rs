@@ -4,8 +4,8 @@
 //! the Monte-Carlo runner snapshots each worker's [`crate::AtomicRecorder`]
 //! after join and folds them with [`TelemetrySnapshot::merge`] (associative
 //! and commutative — u64 additions, histogram merges, and a max — so the
-//! fold order never changes the result). The JSON form is the per-regime
-//! payload of the `paba-profile/1` artifact.
+//! fold order never changes the result). The JSON form is the payload of
+//! the `paba-telemetry/1` snapshot (`paba simulate --telemetry-out`).
 
 use paba_util::{Align, Histogram, Table};
 
@@ -139,7 +139,7 @@ impl TelemetrySnapshot {
     }
 
     /// JSON object with `sampler_paths`, `counters`, `pool_sizes`, and
-    /// `spans` fields — the per-regime payload of `paba-profile/1`.
+    /// `spans` fields — the payload of `paba-telemetry/1`.
     pub fn to_json(&self) -> String {
         let paths: Vec<String> = SamplerPath::ALL
             .iter()

@@ -1,13 +1,13 @@
 //! Hand-rolled JSON: the emission helpers and the reader behind every
 //! artifact.
 //!
-//! The workspace writes every artifact (repro goldens, bench profiles,
-//! trace dumps) as hand-formatted JSON — no serde, per the no-new-deps
+//! The workspace writes every artifact (suite goldens, telemetry
+//! snapshots, trace dumps) as hand-formatted JSON — no serde, per the no-new-deps
 //! policy. [`escape`] and [`num`] are the only shared writer pieces:
 //! everything else is plain `format!` at the call site, which keeps each
 //! artifact's schema readable where it is produced.
 //!
-//! [`parse`] reads them back (`--check`, `paba report`, `profile --diff`):
+//! [`parse`] reads them back (`--check`, `paba report`):
 //! a small recursive-descent parser for the full JSON grammar — objects,
 //! arrays, strings with escapes, numbers, booleans, null — erring on the
 //! side of strictness: trailing garbage, unterminated literals, and

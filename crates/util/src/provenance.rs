@@ -1,9 +1,9 @@
 //! Run provenance stamped into every emitted artifact.
 //!
-//! Cross-run comparisons (`paba report`, `profile --diff`, the repro
-//! gate) are only sound when each measurement records *how* it was
-//! produced. [`Provenance`] is that record: the artifact's schema id,
-//! the writer version, the master seed, the scale label, a hash of the
+//! Cross-run comparisons (`paba report`, the suites' `--check`) are
+//! only sound when each measurement records *how* it was produced.
+//! [`Provenance`] is that record: the artifact's schema id, the
+//! writer version, the master seed, the scale label, a hash of the
 //! full configuration string, the thread budget, the build profile, and
 //! the wall-clock write time. One shared [`Provenance::capture`] +
 //! [`Provenance::to_json`] pair feeds every hand-rolled writer, so the
@@ -121,8 +121,8 @@ mod tests {
 
     #[test]
     fn capture_fills_every_field() {
-        let p = Provenance::capture(crate::schema::PROFILE, 42, "quick", "radius=2 gamma=0.8");
-        assert_eq!(p.schema, "paba-profile/1");
+        let p = Provenance::capture(crate::schema::CHURN, 42, "quick", "radius=2 gamma=0.8");
+        assert_eq!(p.schema, "paba-churn/1");
         assert!(p.writer.starts_with("paba/"));
         assert_eq!(p.seed, 42);
         assert_eq!(p.scale, "quick");
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn provenance_round_trip() {
-        let p = Provenance::capture(crate::schema::THROUGHPUT, 99, "default", "cfg x=1 y=2");
+        let p = Provenance::capture(crate::schema::QUEUEING, 99, "default", "cfg x=1 y=2");
         let doc = crate::json::parse(&p.to_json()).expect("provenance JSON parses");
         let back = Provenance::from_json(&doc).expect("all fields present");
         assert_eq!(back, p);

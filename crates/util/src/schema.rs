@@ -8,12 +8,6 @@
 //! incompatibly; additive keys do not need a bump (all readers tolerate
 //! unknown keys).
 
-/// `paba throughput` grid measurements (`BENCH_throughput.json`).
-pub const THROUGHPUT: &str = "paba-throughput/1";
-
-/// `paba profile` sampler-path / span breakdown (`BENCH_profile.json`).
-pub const PROFILE: &str = "paba-profile/1";
-
 /// `paba repro` theorem-gate artifact (`BENCH_repro.json`).
 pub const REPRO: &str = "paba-repro/1";
 
@@ -31,15 +25,7 @@ pub const CHURN: &str = "paba-churn/1";
 pub const QUEUEING: &str = "paba-queueing/1";
 
 /// Every known schema id, for readers that dispatch on the field.
-pub const ALL: [&str; 7] = [
-    THROUGHPUT,
-    PROFILE,
-    REPRO,
-    TRACE_SERIES,
-    TELEMETRY,
-    CHURN,
-    QUEUEING,
-];
+pub const ALL: [&str; 5] = [REPRO, TRACE_SERIES, TELEMETRY, CHURN, QUEUEING];
 
 #[cfg(test)]
 mod tests {
