@@ -114,7 +114,7 @@ pub fn graph_two_choice<R: Rng + ?Sized>(g: &CsrGraph, m: u64, rng: &mut R) -> A
 ///
 /// On Δ-regular graphs this induces the same edge distribution as
 /// [`graph_two_choice`]; on irregular graphs it biases toward low-degree
-/// nodes' edges (included for the ablation in `examples_regimes`).
+/// nodes' edges.
 ///
 /// # Panics
 /// If any node of `g` is isolated.

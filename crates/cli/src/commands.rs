@@ -34,7 +34,8 @@ USAGE:
   paba workload inspect [options]     summarize a request trace file
   paba trace [options]                time-resolved tracing: sampled events,
                                       load time series, Chrome-trace spans
-  paba repro [options]                run the theorem-gated reproduction suite
+  paba repro [options]                reproduce the paper: theorems, lemmas,
+                                      examples and figures as gates
   paba churn [options]                run the churn-robustness suite: seeded
                                       fault injection, repair, degradation gates
   paba queueing [options]             run the temporal serving-engine suite:
@@ -43,8 +44,8 @@ USAGE:
                                       provenance-checked markdown report
   paba help                           show this text
 
-Output paths (--telemetry-out, --trace-out, --events-out, --series-out,
---chrome-out) accept '-' to mean stdout, e.g. for piping into jq.
+Output paths (--telemetry-out, --events-out, --series-out, --chrome-out)
+accept '-' to mean stdout, e.g. for piping into jq.
 
 SIMULATE OPTIONS (defaults in parentheses):
   --side N          torus side, n = side^2 (45)
@@ -62,8 +63,6 @@ SIMULATE OPTIONS (defaults in parentheses):
   --csv             emit CSV instead of a table
   --telemetry       record sampler-path/timing telemetry and print the breakdown
   --telemetry-out PATH  also write the merged snapshot as JSON (implies --telemetry)
-  --trace-out PATH  also collect a full per-request trace and write it as
-                    JSONL events ('-' = stdout)
   --serve-metrics ADDR  serve live Prometheus metrics (sampler paths, span
                     timings, progress, allocator stats) at
                     http://ADDR/metrics for the duration of the run;
@@ -105,7 +104,8 @@ since the engine draws a Poisson number of arrivals):
   --stride S        sample the queue-length series every S arrivals (0 = off)
 
 TRACE OPTIONS (plus the simulate/workload options above, except
---telemetry-out and --trace-out):
+--telemetry-out; --sample 1 --stride 0 --events-out PATH writes every
+request's event while no run exceeds --max-events):
   --sample N        keep every N-th request's event (16)
   --reservoir C     instead: uniform reservoir of C events per run
   --stride S        load-series sampling stride in requests (64; 0 = off)
@@ -202,7 +202,7 @@ const SIM_KEYS: &[&str] = &[
 ];
 
 /// Extra option keys accepted by `paba simulate` on top of [`SIM_KEYS`].
-const SIMULATE_KEYS: &[&str] = &["telemetry-out", "trace-out"];
+const SIMULATE_KEYS: &[&str] = &["telemetry-out"];
 
 /// Extra option keys accepted by `paba trace` on top of [`SIM_KEYS`].
 const TRACE_KEYS: &[&str] = &[
@@ -562,8 +562,8 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
     Ok((cfg, runs))
 }
 
-/// The traced run shared by `paba simulate --trace-out` and `paba trace`:
-/// every run under its own `TraceRecorder` via
+/// The traced runs of `paba trace`: every run under its own
+/// `TraceRecorder` via
 /// [`paba_mcrunner::run_parallel_traced`], teed into a shared live
 /// recorder when `--serve-metrics` is given so a mid-run scrape sees the
 /// aggregate counters. The endpoint lives for the duration of the runs.
@@ -576,7 +576,7 @@ fn run_traced(
     let live = a
         .get("serve-metrics")
         .is_some()
-        .then(|| LiveRun::new(runs as u64, false));
+        .then(|| LiveRun::new(runs as u64));
     let _server = match &live {
         Some(l) => spawn_metrics(a, l)?,
         None => None,
@@ -604,51 +604,24 @@ fn run_traced(
     Ok((all_runs(reports)?, report))
 }
 
-/// `paba simulate`.
-#[allow(clippy::type_complexity)]
+/// `paba simulate`: the per-metric summary, the run count, and the merged
+/// telemetry snapshot when `--telemetry` (or `--telemetry-out`) asks for it.
 pub(crate) fn simulate_cmd_impl(
     a: &Args,
-) -> Result<
-    (
-        SimStats,
-        usize,
-        Option<TelemetrySnapshot>,
-        Option<TraceReport>,
-    ),
-    String,
-> {
+) -> Result<(SimStats, usize, Option<TelemetrySnapshot>), String> {
     let (cfg, runs) = sim_cfg_from_args(a, SIMULATE_KEYS)?;
     let seed = cfg.seed;
     let telemetry = a.flag("telemetry") || a.get("telemetry-out").is_some();
-    let tracing = a.get("trace-out").is_some();
-    let serving = a.get("serve-metrics").is_some();
-    let (reports, snapshot, trace): (
-        Vec<SimReport>,
-        Option<TelemetrySnapshot>,
-        Option<TraceReport>,
-    ) = if tracing {
-        // One traced pass serves both outputs: a TraceRecorder embeds an
-        // AtomicRecorder, so the aggregate snapshot comes for free.
-        let trace_cfg = paba_telemetry::TraceConfig {
-            sampling: paba_telemetry::Sampling::OneIn(1),
-            stride: 0,
-            max_events: 4096,
-            seed,
-        };
-        let (reports, report) = run_traced(a, &cfg, runs, trace_cfg)?;
-        let snap = telemetry.then(|| report.snapshot.clone());
-        (reports, snap, Some(report))
-    } else if serving {
+    let (reports, snapshot) = if a.get("serve-metrics").is_some() {
         // One AtomicRecorder shared by every worker so a concurrent
         // scrape sees the run as it happens.
-        let live = LiveRun::new(runs as u64, false);
+        let live = LiveRun::new(runs as u64);
         let _server = spawn_metrics(a, &live)?;
         let reports = run_parallel_live(runs, seed, None, &live, |rec, i, rng| {
             sim_run_one(&cfg, i, rng, &rec)
         });
         let reports = all_runs(reports)?;
-        let snap = telemetry.then(|| live.recorder.snapshot());
-        (reports, snap, None)
+        (reports, telemetry.then(|| live.recorder.snapshot()))
     } else if telemetry {
         let (reports, recorders) = paba_mcrunner::run_parallel_with_state(
             runs,
@@ -663,24 +636,23 @@ pub(crate) fn simulate_cmd_impl(
         for rec in &recorders {
             snap.merge(&rec.snapshot());
         }
-        (reports, Some(snap), None)
+        (reports, Some(snap))
     } else {
         let reports = paba_mcrunner::run_parallel(runs, seed, None, |run_idx, rng| {
             sim_run_one(&cfg, run_idx, rng, &NullRecorder)
         });
-        (all_runs(reports)?, None, None)
+        (all_runs(reports)?, None)
     };
-    Ok((summarize_reports(&reports), runs, snapshot, trace))
+    Ok((summarize_reports(&reports), runs, snapshot))
 }
 
 /// `paba simulate` with printing.
 pub fn simulate(a: &Args) -> Result<(), String> {
-    let (stats, runs, telemetry, trace) = simulate_cmd_impl(a)?;
+    let (stats, runs, telemetry) = simulate_cmd_impl(a)?;
     let telemetry_out = a.str_or("telemetry-out", "none");
-    let trace_out = a.str_or("trace-out", "none");
-    // When an artifact goes to stdout the human summary moves to stderr,
-    // so `paba simulate --trace-out - | jq` sees pure JSON.
-    let piping = telemetry_out == "-" || trace_out == "-";
+    // When the snapshot goes to stdout the human summary moves to stderr,
+    // so `paba simulate --telemetry-out - | jq` sees pure JSON.
+    let piping = telemetry_out == "-";
 
     let mut t = Table::new(["metric", "mean", "ci95", "min", "max"]);
     for (name, s) in [
@@ -733,11 +705,6 @@ pub fn simulate(a: &Args) -> Result<(), String> {
                 snap.to_json()
             );
             write_output(&telemetry_out, &json, "telemetry snapshot")?;
-        }
-    }
-    if let Some(report) = &trace {
-        if trace_out != "none" {
-            write_output(&trace_out, &report.events_jsonl(), "trace events")?;
         }
     }
     Ok(())
@@ -1060,17 +1027,27 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The grid scale: `--quick`, else `--scale`, else `PABA_SCALE`.
+/// The grid scale: `--quick`, else `--scale`, else `PABA_SCALE`, else
+/// the default scale.
 fn scale(a: &Args) -> Result<Scale, String> {
+    let env = std::env::var_os("PABA_SCALE").map(|v| v.to_string_lossy().into_owned());
+    scale_from(a, env.as_deref())
+}
+
+/// [`scale`] with the value of `PABA_SCALE` passed in. A malformed value
+/// is an error naming its source, whether flag or variable.
+fn scale_from(a: &Args, env: Option<&str>) -> Result<Scale, String> {
     if a.flag("quick") {
         return Ok(Scale::Quick);
     }
-    match a.get("scale") {
-        None => Ok(paba_util::envcfg::EnvCfg::from_env().scale),
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'")),
-    }
+    let (source, value) = match (a.get("scale"), env) {
+        (Some(s), _) => ("--scale", s),
+        (None, Some(v)) => ("PABA_SCALE", v),
+        (None, None) => return Ok(Scale::default()),
+    };
+    value
+        .parse()
+        .map_err(|_| format!("{source}: expected quick|default|full, got '{value}'"))
 }
 
 /// Do two path spellings name the same file? Canonicalizes each path
@@ -1238,7 +1215,7 @@ pub fn suite(name: &str, a: &Args) -> Result<(), String> {
     let live = a
         .get("serve-metrics")
         .is_some()
-        .then(|| LiveRun::new(suite.planned_runs(&cfg) as u64, false));
+        .then(|| LiveRun::new(suite.planned_runs(&cfg) as u64));
     let _server = match &live {
         Some(l) => spawn_metrics(a, l)?,
         None => None,
@@ -1298,7 +1275,7 @@ pub fn report(a: &Args) -> Result<(), String> {
     }
     let dir = a.str_or("dir", ".");
     let out = a.str_or("out", "-");
-    let rep = paba_bench::report::report_dir(std::path::Path::new(&dir))?;
+    let rep = crate::report::report_dir(std::path::Path::new(&dir))?;
     if out != "none" {
         write_output(&out, &rep.markdown, "benchmark report")?;
     }
@@ -1449,7 +1426,7 @@ mod tests {
     #[test]
     fn simulate_small_run_works() {
         let a = args("simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3");
-        let (stats, runs, telemetry, _) = simulate_cmd_impl(&a).unwrap();
+        let (stats, runs, telemetry) = simulate_cmd_impl(&a).unwrap();
         assert_eq!(runs, 3);
         assert!(telemetry.is_none(), "no --telemetry, no snapshot");
         assert!(stats.max_load.mean >= 1.0);
@@ -1462,7 +1439,7 @@ mod tests {
             let a = args(&format!(
                 "simulate --side 6 --files 10 --cache 2 --runs 2 --strategy {strat}"
             ));
-            let (stats, _, _, _) = simulate_cmd_impl(&a).unwrap();
+            let (stats, _, _) = simulate_cmd_impl(&a).unwrap();
             assert!(stats.max_load.mean >= 1.0, "{strat}");
         }
     }
@@ -1470,7 +1447,7 @@ mod tests {
     #[test]
     fn simulate_dht_placement() {
         let a = args("simulate --side 8 --files 30 --cache 3 --runs 2 --placement dht");
-        let (stats, _, _, _) = simulate_cmd_impl(&a).unwrap();
+        let (stats, _, _) = simulate_cmd_impl(&a).unwrap();
         assert!(stats.max_load.mean >= 1.0);
     }
 
@@ -1566,7 +1543,7 @@ mod tests {
             let a = args(&format!(
                 "simulate --side 6 --files 12 --cache 2 --runs 2 --workload {w}"
             ));
-            let (stats, _, _, _) = simulate_cmd_impl(&a).unwrap();
+            let (stats, _, _) = simulate_cmd_impl(&a).unwrap();
             assert!(stats.max_load.mean >= 1.0, "{w}");
         }
     }
@@ -1601,7 +1578,7 @@ mod tests {
         let s = args(&format!(
             "simulate --side 6 --files 12 --cache 2 --runs 2 --workload trace --trace {path_s}"
         ));
-        let (stats, _, _, _) = simulate_cmd_impl(&s).unwrap();
+        let (stats, _, _) = simulate_cmd_impl(&s).unwrap();
         assert!(stats.max_load.mean >= 1.0);
         // Replayed workloads are identical across runs and strategies: the
         // request stream is frozen, only assignment randomness differs.
@@ -1619,7 +1596,7 @@ mod tests {
     fn simulate_telemetry_accounts_for_every_request() {
         // side 8 → n = 64 requests per run, 3 runs.
         let a = args("simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3 --telemetry");
-        let (_, _, telemetry, _) = simulate_cmd_impl(&a).unwrap();
+        let (_, _, telemetry) = simulate_cmd_impl(&a).unwrap();
         let snap = telemetry.expect("--telemetry yields a snapshot");
         assert_eq!(snap.total_requests(), 3 * 64);
     }
@@ -1627,8 +1604,8 @@ mod tests {
     #[test]
     fn simulate_telemetry_does_not_change_results() {
         let base = "simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3";
-        let (plain, _, _, _) = simulate_cmd_impl(&args(base)).unwrap();
-        let (recorded, _, _, _) = simulate_cmd_impl(&args(&format!("{base} --telemetry"))).unwrap();
+        let (plain, _, _) = simulate_cmd_impl(&args(base)).unwrap();
+        let (recorded, _, _) = simulate_cmd_impl(&args(&format!("{base} --telemetry"))).unwrap();
         assert_eq!(plain.max_load.mean, recorded.max_load.mean);
         assert_eq!(plain.cost.mean, recorded.cost.mean);
         assert_eq!(plain.fallback.mean, recorded.fallback.mean);
@@ -1838,6 +1815,24 @@ mod tests {
     }
 
     #[test]
+    fn malformed_paba_scale_is_an_error() {
+        // The variable's value is passed in: the process environment,
+        // which parallel tests share, stays untouched.
+        let plain = args("repro --out none");
+        let err = scale_from(&plain, Some("bogus")).unwrap_err();
+        assert!(err.contains("PABA_SCALE") && err.contains("bogus"), "{err}");
+        assert_eq!(scale_from(&plain, Some("quick")), Ok(Scale::Quick));
+        assert_eq!(scale_from(&plain, None), Ok(Scale::Default));
+        // The flags take precedence over the variable.
+        let full = args("repro --scale full");
+        assert_eq!(scale_from(&full, Some("bogus")), Ok(Scale::Full));
+        assert_eq!(
+            scale_from(&args("repro --quick"), Some("bogus")),
+            Ok(Scale::Quick)
+        );
+    }
+
+    #[test]
     fn repro_rejects_unknown_options() {
         assert!(suite_cmd("repro --sacle quick")
             .unwrap_err()
@@ -2009,6 +2004,12 @@ mod tests {
         // nor `profile` is a subcommand.
         for (cmd, want) in [
             ("simulate --grid", "unknown option(s): [\"grid\"]"),
+            // `paba trace --sample 1 --stride 0 --events-out` is the one
+            // way to write every request's event.
+            (
+                "simulate --trace-out x",
+                "unknown option(s): [\"trace-out\"]",
+            ),
             (
                 "throughput --scale quick",
                 "unknown subcommand 'throughput'",
@@ -2156,23 +2157,26 @@ mod tests {
     }
 
     #[test]
-    fn simulate_trace_out_writes_jsonl() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_sim_trace_test_{}", std::process::id()));
+    fn trace_sample_one_writes_every_request_as_jsonl() {
+        let dir = std::env::temp_dir().join(format!(
+            "paba_cli_trace_every_request_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jsonl");
         let a = args(&format!(
-            "simulate --side 6 --files 12 --cache 2 --runs 2 --csv --trace-out {}",
+            "trace --side 6 --files 12 --cache 2 --runs 2 --csv --sample 1 --stride 0 \
+             --events-out {}",
             path.display()
         ));
-        simulate(&a).unwrap();
+        trace(&a).unwrap();
         let jsonl = std::fs::read_to_string(&path).unwrap();
-        // --trace-out samples every request: side 6 → 36 requests × 2 runs.
+        // --sample 1 keeps every request: side 6 → 36 requests × 2 runs.
         assert_eq!(jsonl.lines().count(), 2 * 36);
         for line in jsonl.lines() {
             paba_util::json::parse(line).expect("event line parses");
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2181,8 +2185,8 @@ mod tests {
         // HTTP behaviour is covered in paba-telemetry, here we check the
         // live path wires up and does not change the simulation.
         let base = "simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3";
-        let (plain, _, _, _) = simulate_cmd_impl(&args(base)).unwrap();
-        let (live, _, _, _) =
+        let (plain, _, _) = simulate_cmd_impl(&args(base)).unwrap();
+        let (live, _, _) =
             simulate_cmd_impl(&args(&format!("{base} --serve-metrics 127.0.0.1:0"))).unwrap();
         assert_eq!(plain.max_load.mean, live.max_load.mean);
         assert_eq!(plain.cost.mean, live.cost.mean);

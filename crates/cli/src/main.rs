@@ -17,6 +17,7 @@
 
 mod args;
 mod commands;
+mod report;
 
 use args::Args;
 

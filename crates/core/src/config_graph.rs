@@ -5,8 +5,9 @@
 //! torus. Lemma 3 shows that — conditioned on placement goodness — `H` is
 //! almost Δ-regular with `Δ = Θ(M²r²/K)`, and that Strategy II samples
 //! each edge of `H` with probability `O(1/e(H))`; Theorem 5 then yields
-//! the `Θ(log log n)` maximum load. The `lemma3_config_graph` bench checks
-//! both properties empirically.
+//! the `Θ(log log n)` maximum load. The degree claim is pinned by
+//! `tests/theory_consistency.rs` and the edge-sampling claim is gated by
+//! `paba repro` (`lemma3/edge-sampling-uniform`).
 
 use crate::network::CacheNetwork;
 use paba_topology::{CsrGraph, GraphBuilder, Topology};

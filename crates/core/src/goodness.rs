@@ -7,9 +7,8 @@
 //!
 //! Lemma 2 proves proportional placement is good w.h.p. in the `K = n`,
 //! `M = n^α` regime with `δ = (1−α)/3` and constant `µ ≥ 5/(1−2α)`.
-//! [`GoodnessReport`] measures the realized extremes so the
-//! `lemma2_goodness` bench can confirm the claim (and locate where it
-//! starts failing as `α → 1/2`).
+//! [`GoodnessReport`] measures the realized extremes, which `paba repro`
+//! gates (`goodness/lemma2-regime`).
 
 use crate::network::CacheNetwork;
 use paba_topology::Topology;

@@ -160,8 +160,8 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
     /// This is the edge-sampling process of Lemma 3(b): the returned pair
     /// is an edge of the configuration graph `H` (both endpoints cache the
     /// file and lie within `B_r(origin)`, hence within `2r` of each
-    /// other). The `lemma3_config_graph` bench uses it to verify each edge
-    /// is picked with probability `O(1/e(H))`.
+    /// other). `paba repro`'s `lemma3/edge-sampling-uniform` gate replays
+    /// it to check that each edge is picked with probability `O(1/e(H))`.
     pub fn sample_pair<T: Topology, R: Rng + ?Sized>(
         &mut self,
         net: &CacheNetwork<T>,

@@ -60,16 +60,6 @@ pub enum SamplerKind {
     ExactScan,
 }
 
-impl SamplerKind {
-    /// Stable kebab-case label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SamplerKind::Hybrid => "hybrid",
-            SamplerKind::ExactScan => "exact-scan",
-        }
-    }
-}
-
 /// Outcome of a pool draw.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PoolDraw {

@@ -4,8 +4,8 @@
 //! piggybacking" — so decisions are made against a *snapshot* of the
 //! loads, not their live values. [`StaleLoad`] wraps any inner strategy
 //! and refreshes its load snapshot only every `period` requests,
-//! quantifying how much staleness the power of two choices tolerates (the
-//! `ablation_design` bench shows the degradation curve; the classic
+//! quantifying how much staleness the power of two choices tolerates
+//! (`paba simulate --stale P` shows the degradation curve; the classic
 //! "herd effect" appears when many requests act on one stale view).
 
 use crate::network::CacheNetwork;

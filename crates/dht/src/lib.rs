@@ -22,8 +22,8 @@
 //! Unlike the paper's i.i.d. placement, DHT placement is *deterministic
 //! given the ring*, reproducible across nodes without coordination, and
 //! adapts to churn with minimal movement — the properties that make the
-//! scheme deployable. The `ablation_design` bench compares both under
-//! Strategy I/II.
+//! scheme deployable. `paba simulate --placement dht` compares it with the
+//! i.i.d. placement under Strategy I/II.
 
 pub mod placement;
 pub mod ring;

@@ -31,17 +31,16 @@ use crate::runner::run_parallel_with_state;
 pub struct LiveRun {
     /// The recorder all strided workers share.
     pub recorder: Arc<AtomicRecorder>,
-    /// Completed-run tracker (also drives the stderr progress lines).
+    /// Completed-run tracker.
     pub progress: Arc<Progress>,
 }
 
 impl LiveRun {
-    /// Fresh handle for `total` work units; `verbose` enables the usual
-    /// stderr progress lines alongside the scrape endpoint.
-    pub fn new(total: u64, verbose: bool) -> Self {
+    /// Fresh handle for `total` work units.
+    pub fn new(total: u64) -> Self {
         Self {
             recorder: Arc::new(AtomicRecorder::new()),
-            progress: Arc::new(Progress::new(total, verbose)),
+            progress: Arc::new(Progress::new(total)),
         }
     }
 
@@ -101,7 +100,7 @@ mod tests {
 
     #[test]
     fn workers_share_one_recorder_and_tick_progress() {
-        let live = LiveRun::new(40, false);
+        let live = LiveRun::new(40);
         let out = run_parallel_live(40, 11, Some(4), &live, |rec, i, rng| {
             for _ in 0..10 {
                 rec.path(SamplerPath::Windowed);
@@ -119,7 +118,7 @@ mod tests {
     #[test]
     fn outputs_deterministic_across_thread_counts() {
         let run = |threads: usize| {
-            let live = LiveRun::new(30, false);
+            let live = LiveRun::new(30);
             run_parallel_live(30, 77, Some(threads), &live, |_rec, _i, rng| {
                 rng.gen::<u64>()
             })
@@ -131,7 +130,7 @@ mod tests {
 
     #[test]
     fn render_metrics_mid_run_is_safe_and_monotone() {
-        let live = LiveRun::new(16, false);
+        let live = LiveRun::new(16);
         // Scrape concurrently with the workers — must not tear or panic.
         let pages = std::thread::scope(|s| {
             let scraper = {

@@ -1,49 +1,35 @@
-//! Lightweight progress reporting for long experiment sweeps.
+//! Lightweight progress tracking for long parallel runs.
 //!
-//! Long benches (Figure 3 sweeps to n = 1.2·10⁵) should tell the user they
-//! are alive. [`Progress`] is a shared atomic counter that prints a line to
-//! stderr every ~10% of completed work — cheap enough to tick from every
-//! worker thread. Each announce line also reports elapsed wall time, the
-//! completion rate in units/s, and an ETA for the remaining work.
+//! [`Progress`] is a shared atomic counter of completed work — cheap
+//! enough to tick from every worker thread. It also reports elapsed wall
+//! time, the completion rate in units/s and an ETA for the remaining
+//! work, which the `--serve-metrics` endpoint renders (see
+//! [`crate::LiveRun`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Shared completed-work counter with optional stderr reporting.
+/// Shared completed-work counter.
 #[derive(Debug)]
 pub struct Progress {
     total: u64,
     completed: AtomicU64,
-    /// Next decile to announce (×10%); u64::MAX disables printing.
-    next_announce: AtomicU64,
     start: Instant,
 }
 
 impl Progress {
-    /// Tracker for `total` units; `verbose` enables stderr lines.
-    pub fn new(total: u64, verbose: bool) -> Self {
+    /// Tracker for `total` units.
+    pub fn new(total: u64) -> Self {
         Self {
             total: total.max(1),
             completed: AtomicU64::new(0),
-            next_announce: AtomicU64::new(if verbose { 1 } else { u64::MAX }),
             start: Instant::now(),
         }
     }
 
     /// Record one completed unit.
     pub fn tick(&self) {
-        let done = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        let decile = done * 10 / self.total;
-        let next = self.next_announce.load(Ordering::Relaxed);
-        if decile >= next
-            && self
-                .next_announce
-                .compare_exchange(next, decile + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            let elapsed = self.elapsed().as_secs_f64();
-            eprintln!("{}", announce_line(done, self.total, elapsed, self.rate()));
-        }
+        self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Units completed so far.
@@ -81,33 +67,13 @@ impl Progress {
     }
 }
 
-/// Format one announce line. Pure so tests can pin the exact output.
-///
-/// A first announce can land with zero measurable elapsed time (`rate`
-/// 0.0, or non-finite if a caller divides by zero elapsed themselves);
-/// the rate/ETA segment is printed only when both are positive finite
-/// numbers, so `inf`/`NaN` never reach the terminal.
-fn announce_line(done: u64, total: u64, elapsed_s: f64, rate: f64) -> String {
-    let total = total.max(1);
-    let pct = done * 100 / total;
-    if rate.is_finite() && rate > 0.0 {
-        let eta = total.saturating_sub(done) as f64 / rate;
-        if eta.is_finite() {
-            return format!(
-                "  … {done}/{total} runs ({pct}%) | {elapsed_s:.1}s elapsed | {rate:.1} runs/s | ETA {eta:.1}s"
-            );
-        }
-    }
-    format!("  … {done}/{total} runs ({pct}%) | {elapsed_s:.1}s elapsed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counts_ticks() {
-        let p = Progress::new(10, false);
+        let p = Progress::new(10);
         for _ in 0..7 {
             p.tick();
         }
@@ -117,14 +83,14 @@ mod tests {
 
     #[test]
     fn zero_total_clamped() {
-        let p = Progress::new(0, false);
+        let p = Progress::new(0);
         p.tick(); // must not divide by zero
         assert_eq!(p.completed(), 1);
     }
 
     #[test]
     fn concurrent_ticks_all_counted() {
-        let p = Progress::new(1000, false);
+        let p = Progress::new(1000);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -139,7 +105,7 @@ mod tests {
 
     #[test]
     fn rate_and_eta_after_work() {
-        let p = Progress::new(100, false);
+        let p = Progress::new(100);
         assert_eq!(p.completed(), 0);
         for _ in 0..50 {
             p.tick();
@@ -157,45 +123,14 @@ mod tests {
 
     #[test]
     fn eta_none_before_any_work() {
-        let p = Progress::new(10, false);
+        let p = Progress::new(10);
         assert_eq!(p.rate(), 0.0);
         assert!(p.eta_seconds().is_none());
     }
 
     #[test]
-    fn announce_line_pins_both_formats() {
-        assert_eq!(
-            announce_line(5, 10, 2.0, 2.5),
-            "  … 5/10 runs (50%) | 2.0s elapsed | 2.5 runs/s | ETA 2.0s"
-        );
-        assert_eq!(
-            announce_line(1, 10, 0.0, 0.0),
-            "  … 1/10 runs (10%) | 0.0s elapsed"
-        );
-    }
-
-    #[test]
-    fn announce_line_guards_non_finite_rates() {
-        // Zero-elapsed first announce: a naive rate = done/elapsed would
-        // be inf (or NaN at 0/0); the line must fall back to the short
-        // form rather than print them.
-        for bad in [f64::INFINITY, f64::NAN, -1.0] {
-            assert_eq!(
-                announce_line(1, 10, 0.0, bad),
-                "  … 1/10 runs (10%) | 0.0s elapsed",
-                "rate={bad}"
-            );
-        }
-        assert_eq!(
-            announce_line(0, 10, 0.0, f64::MIN_POSITIVE),
-            "  … 0/10 runs (0%) | 0.0s elapsed",
-            "overflowing ETA falls back to the short form"
-        );
-    }
-
-    #[test]
     fn ticks_beyond_total_do_not_underflow() {
-        let p = Progress::new(2, false);
+        let p = Progress::new(2);
         for _ in 0..5 {
             p.tick();
         }

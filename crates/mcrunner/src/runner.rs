@@ -250,14 +250,14 @@ mod tests {
 
     #[test]
     fn progress_ticks_once_per_run() {
-        let p = Progress::new(120, false);
+        let p = Progress::new(120);
         let _ = run_parallel_with_state(120, 1, Some(4), Some(&p), || (), |&(), i, _| i);
         assert_eq!(p.completed(), 120);
     }
 
     #[test]
     fn with_state_ticks_progress() {
-        let p = Progress::new(60, false);
+        let p = Progress::new(60);
         let _ = run_parallel_with_state(60, 1, Some(3), Some(&p), || (), |&(), i, _| i);
         assert_eq!(p.completed(), 60);
     }

@@ -7,7 +7,6 @@
 //! grouped per point and deterministic in `(master_seed, point_index,
 //! run_index)`.
 
-use crate::progress::Progress;
 use crate::runner::run_parallel_with_state;
 use paba_util::{mix_seed, Summary};
 use rand::rngs::SmallRng;
@@ -39,7 +38,6 @@ pub fn sweep<P, O, F>(
     runs_per_point: usize,
     master_seed: u64,
     threads: Option<usize>,
-    verbose: bool,
     run_fn: F,
 ) -> Vec<SweepOutcome<P, O>>
 where
@@ -48,13 +46,12 @@ where
     F: Fn(&P, usize, &mut SmallRng) -> O + Sync,
 {
     let total = points.len() * runs_per_point;
-    let progress = Progress::new(total as u64, verbose);
     // Flatten to a single work grid: job i ↦ (point i / runs, run i % runs).
     let (flat, _): (Vec<O>, _) = run_parallel_with_state(
         total,
         master_seed,
         threads,
-        Some(&progress),
+        None,
         || (),
         |&(), job, _outer_rng| {
             let (pi, ri) = (job / runs_per_point, job % runs_per_point);
@@ -107,7 +104,6 @@ pub fn sweep_summaries<P, F>(
     n_metrics: usize,
     master_seed: u64,
     threads: Option<usize>,
-    verbose: bool,
     run_fn: F,
 ) -> Vec<PointSummary<P>>
 where
@@ -119,7 +115,6 @@ where
         runs_per_point,
         master_seed,
         threads,
-        verbose,
         |p, run, rng| {
             let mut m = vec![0.0f64; n_metrics];
             run_fn(p, run, rng, &mut m);
@@ -153,7 +148,7 @@ mod tests {
     #[test]
     fn grouping_preserves_point_and_run_order() {
         let points = vec![10u32, 20, 30];
-        let res = sweep(&points, 4, 1, Some(3), false, |p, run, _| (*p, run));
+        let res = sweep(&points, 4, 1, Some(3), |p, run, _| (*p, run));
         assert_eq!(res.len(), 3);
         for (i, out) in res.iter().enumerate() {
             assert_eq!(out.param, points[i]);
@@ -168,8 +163,8 @@ mod tests {
     fn deterministic_across_threads() {
         let points = vec![1u64, 2, 3, 4, 5];
         let f = |p: &u64, _run: usize, rng: &mut SmallRng| *p * rng.gen_range(1..100u64);
-        let a = sweep(&points, 7, 42, Some(1), false, f);
-        let b = sweep(&points, 7, 42, Some(8), false, f);
+        let a = sweep(&points, 7, 42, Some(1), f);
+        let b = sweep(&points, 7, 42, Some(8), f);
         assert_eq!(a, b);
     }
 
@@ -178,14 +173,14 @@ mod tests {
         // The same (seed, point-index, run) triple must give the same
         // output whether or not other points exist in the sweep.
         let f = |p: &u64, _run: usize, rng: &mut SmallRng| (*p, rng.gen::<u64>());
-        let solo = sweep(&[7u64], 3, 9, Some(2), false, f);
-        let multi = sweep(&[7u64, 8, 9], 3, 9, Some(2), false, f);
+        let solo = sweep(&[7u64], 3, 9, Some(2), f);
+        let multi = sweep(&[7u64, 8, 9], 3, 9, Some(2), f);
         assert_eq!(solo[0], multi[0]);
     }
 
     #[test]
     fn summarize_metric() {
-        let res = sweep(&[0u32], 100, 5, Some(2), false, |_, run, _| run as f64);
+        let res = sweep(&[0u32], 100, 5, Some(2), |_, run, _| run as f64);
         let s = res[0].summarize(|&o| o);
         assert_eq!(s.count, 100);
         assert!((s.mean - 49.5).abs() < 1e-9);
@@ -193,13 +188,13 @@ mod tests {
 
     #[test]
     fn empty_points() {
-        let res: Vec<SweepOutcome<u32, u32>> = sweep(&[], 10, 1, None, false, |_, _, _| 0u32);
+        let res: Vec<SweepOutcome<u32, u32>> = sweep(&[], 10, 1, None, |_, _, _| 0u32);
         assert!(res.is_empty());
     }
 
     #[test]
     fn zero_runs_per_point() {
-        let res = sweep(&[1u32, 2], 0, 1, None, false, |_, _, _| 0u32);
+        let res = sweep(&[1u32, 2], 0, 1, None, |_, _, _| 0u32);
         assert_eq!(res.len(), 2);
         assert!(res.iter().all(|o| o.outputs.is_empty()));
     }
@@ -207,11 +202,11 @@ mod tests {
     #[test]
     fn summaries_match_raw_sweep() {
         let points = vec![3u64, 5, 9];
-        let raw = sweep(&points, 40, 17, Some(4), false, |p, _run, rng| {
+        let raw = sweep(&points, 40, 17, Some(4), |p, _run, rng| {
             let x = rng.gen_range(0..100u64) as f64;
             (x, x * *p as f64)
         });
-        let summed = sweep_summaries(&points, 40, 2, 17, Some(4), false, |p, _run, rng, m| {
+        let summed = sweep_summaries(&points, 40, 2, 17, Some(4), |p, _run, rng, m| {
             let x = rng.gen_range(0..100u64) as f64;
             m[0] = x;
             m[1] = x * *p as f64;
@@ -233,8 +228,8 @@ mod tests {
         let f = |p: &u32, _run: usize, rng: &mut SmallRng, m: &mut [f64]| {
             m[0] = *p as f64 * rng.gen::<f64>();
         };
-        let a = sweep_summaries(&[1u32, 2, 3], 9, 1, 5, Some(1), false, f);
-        let b = sweep_summaries(&[1u32, 2, 3], 9, 1, 5, Some(8), false, f);
+        let a = sweep_summaries(&[1u32, 2, 3], 9, 1, 5, Some(1), f);
+        let b = sweep_summaries(&[1u32, 2, 3], 9, 1, 5, Some(8), f);
         assert_eq!(a, b);
     }
 }

@@ -8,7 +8,7 @@
 //! explicit threshold and an explicit bound on the probability that a
 //! broken implementation slips past.
 //!
-//! Three experiments (see [`experiments`]):
+//! Eight experiments (see [`experiments`]):
 //!
 //! 1. **growth** — max load vs `n` for Strategy I, Strategy II at
 //!    `r ∈ {⌈2√(ln n)⌉, const, ∞}`, and least-loaded-in-ball; gates the
@@ -18,6 +18,24 @@
 //!    ladder; gates the monotone trade-off curve.
 //! 3. **goodness** — Lemma 2's `(δ, µ)`-goodness preconditions on sparse
 //!    proportional placements.
+//! 4. **zipf_cost** — eq. (1)'s cost exponent in `K` for one Zipf `γ`
+//!    per non-critical regime (Theorem 3).
+//! 5. **examples** — Example 3: two choices keep their power when
+//!    `K = n^{1/2}`, `M = 1`.
+//! 6. **fig3** — Fig. 3's `M = 1` rise-then-fall of the max load and
+//!    Fig. 4's `Θ(√n)` cost.
+//! 7. **voronoi** — Lemma 1's `Θ(K ln n / M)` Voronoi cell envelope.
+//! 8. **edge_sampling** — Lemma 3(b): Strategy II's candidate pairs
+//!    spread over the configuration graph's edges.
+//!
+//! Each gate has a negative-control test that injects the effect the
+//! gate is named for through [`experiments::Inject`] (swap a strategy
+//! arm, or the placement popularity) and asserts that the gate fails.
+//!
+//! Claims asserted by a tier-1 test are cited rather than re-gated, e.g.
+//! Examples 1–2 and Lemma 3(a); the README's *Reproducing the paper*
+//! table maps every claim to its gate, test, or the scale at which it
+//! was not reproduced.
 //!
 //! The suite emits a versioned [`artifact::Artifact`]
 //! (`BENCH_repro.json`, schema `paba-repro/1`), and `--check` diffs a
@@ -82,8 +100,8 @@ impl ReproConfig {
 /// runs all three through one driver.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Suite {
-    /// The theorem-gated reproduction suite (`BENCH_repro.json`): growth
-    /// separation, radius trade-off and Lemma 2 goodness.
+    /// The theorem-gated reproduction suite (`BENCH_repro.json`): the
+    /// eight experiments of [`experiments`].
     Repro,
     /// The churn-robustness suite (`BENCH_churn.json`).
     Churn(ChurnParams),
@@ -142,9 +160,15 @@ impl Suite {
         let mut metrics = Vec::new();
         match self {
             Suite::Repro => {
-                experiments::growth(cfg, &mut gates, &mut metrics);
-                experiments::tradeoff(cfg, &mut gates, &mut metrics);
-                experiments::goodness(cfg, &mut gates, &mut metrics);
+                let none = &experiments::Inject::NONE;
+                experiments::growth(cfg, none, &mut gates, &mut metrics);
+                experiments::tradeoff(cfg, none, &mut gates, &mut metrics);
+                experiments::goodness(cfg, none, &mut gates, &mut metrics);
+                experiments::zipf_cost(cfg, none, &mut gates, &mut metrics);
+                experiments::examples(cfg, none, &mut gates, &mut metrics);
+                experiments::fig3(cfg, none, &mut gates, &mut metrics);
+                experiments::voronoi(cfg, none, &mut gates, &mut metrics);
+                experiments::edge_sampling(cfg, none, &mut gates, &mut metrics);
             }
             Suite::Churn(p) => {
                 let regime = churn_experiments::Regime::resolve(cfg.scale, p)?;
@@ -358,7 +382,7 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(3);
         let plain = churn(&cfg);
-        let live = paba_mcrunner::LiveRun::new(3, false);
+        let live = paba_mcrunner::LiveRun::new(3);
         let observed = Suite::Churn(ChurnParams::default())
             .run(&cfg, Some(&live))
             .unwrap();
@@ -441,7 +465,7 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
         let plain = queueing(&cfg);
-        let live = paba_mcrunner::LiveRun::new(2, false);
+        let live = paba_mcrunner::LiveRun::new(2);
         let observed = Suite::Queueing(QueueingParams::default())
             .run(&cfg, Some(&live))
             .unwrap();

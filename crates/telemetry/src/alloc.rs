@@ -97,16 +97,6 @@ pub struct AllocSnapshot {
     pub peak_bytes: u64,
 }
 
-impl AllocSnapshot {
-    /// Single-line JSON object of the four tallies.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"allocations\": {}, \"allocated_bytes\": {}, \"live_bytes\": {}, \"peak_bytes\": {}}}",
-            self.allocations, self.allocated_bytes, self.live_bytes, self.peak_bytes
-        )
-    }
-}
-
 /// Current tallies, or `None` when no allocation has been tracked (the
 /// counting allocator is not installed as `#[global_allocator]`).
 pub fn snapshot() -> Option<AllocSnapshot> {
@@ -168,10 +158,5 @@ mod tests {
         assert_eq!(s.live_bytes, 0, "balanced alloc/dealloc");
         assert_eq!(s.peak_bytes, 5120, "peak survives deallocation");
         assert_eq!(peak_bytes(), Some(5120));
-
-        let j = s.to_json();
-        for key in ["allocations", "allocated_bytes", "live_bytes", "peak_bytes"] {
-            assert!(j.contains(&format!("\"{key}\": ")), "{j}");
-        }
     }
 }

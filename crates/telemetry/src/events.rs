@@ -130,31 +130,21 @@ impl Counter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
-    /// Building the network: topology + placement construction.
-    PlacementBuild = 0,
     /// The request-assignment loop of one simulation run.
-    AssignLoop = 1,
-    /// Folding per-run/per-thread results into aggregate reports.
-    MetricsMerge = 2,
+    AssignLoop = 0,
 }
 
 impl Stage {
     /// Number of variants.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 1;
 
     /// All variants in discriminant order.
-    pub const ALL: [Stage; Self::COUNT] = [
-        Stage::PlacementBuild,
-        Stage::AssignLoop,
-        Stage::MetricsMerge,
-    ];
+    pub const ALL: [Stage; Self::COUNT] = [Stage::AssignLoop];
 
     /// Stable kebab-case name (JSON key / table row).
     pub fn label(self) -> &'static str {
         match self {
-            Stage::PlacementBuild => "placement-build",
             Stage::AssignLoop => "assign-loop",
-            Stage::MetricsMerge => "metrics-merge",
         }
     }
 }

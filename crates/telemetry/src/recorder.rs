@@ -453,15 +453,12 @@ mod tests {
     #[test]
     fn span_timer_records_only_when_enabled() {
         let rec = AtomicRecorder::new();
-        let t = SpanTimer::start(&rec, Stage::PlacementBuild);
+        let t = SpanTimer::start(&rec, Stage::AssignLoop);
         t.stop(&rec);
-        assert_eq!(
-            rec.snapshot().spans[Stage::PlacementBuild as usize].count,
-            1
-        );
+        assert_eq!(rec.snapshot().spans[Stage::AssignLoop as usize].count, 1);
 
         // Null: no clock read, no record; just must compile and run.
-        let t = SpanTimer::start(&NullRecorder, Stage::PlacementBuild);
+        let t = SpanTimer::start(&NullRecorder, Stage::AssignLoop);
         assert!(t.start.is_none());
         t.stop(&NullRecorder);
     }

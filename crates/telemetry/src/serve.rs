@@ -598,7 +598,7 @@ mod tests {
         rec.path(SamplerPath::Windowed);
         rec.path(SamplerPath::ExactScan);
         rec.count(Counter::CachesBitmap, 3);
-        rec.span_ns(Stage::MetricsMerge, 10);
+        rec.span_ns(Stage::AssignLoop, 10);
         let second = render_metrics(&rec.snapshot(), None, None);
 
         let counters = |page: &str| -> std::collections::HashMap<String, f64> {

@@ -293,7 +293,7 @@ mod tests {
             rec.path(SamplerPath::ALL[(r % SamplerPath::COUNT as u64) as usize]);
             rec.count(Counter::ALL[(r as usize / 7) % Counter::COUNT], r % 5);
             rec.pool_size((r % 40) as usize);
-            rec.span_ns(Stage::ALL[(r as usize / 11) % Stage::COUNT], r % 100_000);
+            rec.span_ns(Stage::AssignLoop, r % 100_000);
         }
         rec.snapshot()
     }

@@ -5,8 +5,7 @@
 //! The paper proves proportional placement is good w.h.p. for `K = n`,
 //! `M = n^α`, `α < 1/2`, with `δ = (1−α)/3` and any constant
 //! `µ ≥ 5/(1−2α)`. These functions expose those parameters and the exact
-//! expectations the empirical checks (the `lemma2_goodness` bench) compare
-//! against.
+//! expectations the empirical checks compare against.
 
 /// Lemma 2's distinct-fraction parameter `δ = (1 − α)/3`.
 ///

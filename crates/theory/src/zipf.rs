@@ -4,8 +4,8 @@
 //! `C = Σ_j p_j · Θ(1 / √(1 − (1 − p_j)^M))` and specializes it to the
 //! Uniform profile (`Θ(√(K/M))`) and the five Zipf regimes of equation
 //! (1). We expose the exact series (sans the Θ constant) for quantitative
-//! comparison in Figure 2, plus the fitted-exponent predictions used by the
-//! `table_thm3_zipf_cost` bench.
+//! comparison in Figure 2, plus the fitted-exponent predictions that
+//! `paba repro`'s `zipf/exponent/*` gates compare against.
 
 /// Generalized harmonic number `Λ(γ) = Σ_{j=1}^{K} j^{−γ}`
 /// (the paper's equation (17) normalizer).

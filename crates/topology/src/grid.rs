@@ -2,7 +2,7 @@
 //!
 //! The paper's Remark 1 states all torus asymptotics carry over to the
 //! bounded grid; we implement the grid so the claim can be checked
-//! empirically (see the `examples_regimes` bench ablation).
+//! empirically (`CacheNetworkBuilder::build_grid`).
 
 use crate::coords::Coord;
 use crate::NodeId;

@@ -1,18 +1,15 @@
-//! Environment-variable configuration shared by the bench harnesses.
+//! The workspace's shared run defaults: the master seed, the experiment
+//! [`Scale`], and the seed-count knob of the statistical integration
+//! tests.
 //!
-//! Every experiment binary honours the same three knobs so a user can scale
-//! any figure up to the paper's full replication counts without editing
-//! code:
-//!
-//! * `PABA_RUNS`  — override the number of Monte-Carlo runs per point.
-//! * `PABA_SEED`  — master seed (default 20170529, the IPDPS 2017 opening
-//!   date, because every reproduction deserves a memorable seed).
-//! * `PABA_SCALE` — `quick` (CI-sized), `default`, or `full` (paper-sized
-//!   parameter grids).
-//!
-//! The *statistical integration tests* additionally honour
-//! `PABA_TEST_RUNS` (see [`test_runs`]): CI's quick tier can shrink their
-//! seed counts while nightly runs the full tier, without editing tests.
+//! * [`DEFAULT_SEED`] — master seed of every suite and CLI run (20170529,
+//!   the IPDPS 2017 opening date, because every reproduction deserves a
+//!   memorable seed).
+//! * [`Scale`] — `quick` (CI-sized), `default`, or `full` (paper-sized)
+//!   suite grids; `paba <suite>` reads it from `--scale` or `PABA_SCALE`.
+//! * `PABA_TEST_RUNS` (see [`test_runs`]) — CI's quick tier can shrink the
+//!   statistical tests' seed counts while nightly runs the full tier,
+//!   without editing tests.
 
 use std::str::FromStr;
 
@@ -20,10 +17,10 @@ use std::str::FromStr;
 #[allow(clippy::inconsistent_digit_grouping)] // 2017-05-29: IPDPS 2017 opening day
 pub const DEFAULT_SEED: u64 = 2017_05_29;
 
-/// Experiment scale selected via `PABA_SCALE`.
+/// Experiment grid scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Scale {
-    /// Tiny grids for smoke-testing the harnesses (seconds).
+    /// CI-sized grids (about a second per suite).
     Quick,
     /// Grids that show every qualitative effect in minutes.
     #[default]
@@ -41,82 +38,8 @@ impl FromStr for Scale {
             "default" | "" => Ok(Scale::Default),
             "full" | "paper" => Ok(Scale::Full),
             other => Err(format!(
-                "unknown PABA_SCALE '{other}' (expected quick|default|full)"
+                "unknown scale '{other}' (expected quick|default|full)"
             )),
-        }
-    }
-}
-
-/// Parsed experiment environment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EnvCfg {
-    /// Master seed (`PABA_SEED`, default [`DEFAULT_SEED`]).
-    pub seed: u64,
-    /// Optional run-count override (`PABA_RUNS`).
-    pub runs_override: Option<usize>,
-    /// Grid scale (`PABA_SCALE`, default [`Scale::Default`]).
-    pub scale: Scale,
-}
-
-impl EnvCfg {
-    /// Read configuration from the process environment.
-    ///
-    /// Malformed values fall back to defaults with a note on stderr rather
-    /// than aborting a long bench suite.
-    pub fn from_env() -> Self {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// Testable constructor: reads via the provided lookup function.
-    pub fn from_lookup<F: Fn(&str) -> Option<String>>(lookup: F) -> Self {
-        let seed = lookup("PABA_SEED")
-            .and_then(|v| match v.parse::<u64>() {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    eprintln!("paba: ignoring malformed PABA_SEED='{v}'");
-                    None
-                }
-            })
-            .unwrap_or(DEFAULT_SEED);
-        let runs_override = lookup("PABA_RUNS").and_then(|v| match v.parse::<usize>() {
-            Ok(r) if r > 0 => Some(r),
-            _ => {
-                eprintln!("paba: ignoring malformed PABA_RUNS='{v}'");
-                None
-            }
-        });
-        let scale = lookup("PABA_SCALE")
-            .and_then(|v| match v.parse::<Scale>() {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("paba: {e}; using default scale");
-                    None
-                }
-            })
-            .unwrap_or_default();
-        Self {
-            seed,
-            runs_override,
-            scale,
-        }
-    }
-
-    /// Resolve the run count: the override if present, otherwise the
-    /// scale-appropriate choice among `(quick, default, full)`.
-    pub fn runs(&self, quick: usize, default: usize, full: usize) -> usize {
-        self.runs_override.unwrap_or(match self.scale {
-            Scale::Quick => quick,
-            Scale::Default => default,
-            Scale::Full => full,
-        })
-    }
-
-    /// Pick a grid by scale (convenience mirroring [`EnvCfg::runs`]).
-    pub fn pick<T: Clone>(&self, quick: T, default: T, full: T) -> T {
-        match self.scale {
-            Scale::Quick => quick,
-            Scale::Default => default,
-            Scale::Full => full,
         }
     }
 }
@@ -160,54 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn defaults_when_unset() {
-        let cfg = EnvCfg::from_lookup(|_| None);
-        assert_eq!(cfg.seed, DEFAULT_SEED);
-        assert_eq!(cfg.runs_override, None);
-        assert_eq!(cfg.scale, Scale::Default);
-    }
-
-    #[test]
-    fn parses_all_fields() {
-        let cfg = EnvCfg::from_lookup(lookup_from(&[
-            ("PABA_SEED", "99"),
-            ("PABA_RUNS", "1234"),
-            ("PABA_SCALE", "full"),
-        ]));
-        assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.runs_override, Some(1234));
-        assert_eq!(cfg.scale, Scale::Full);
-    }
-
-    #[test]
-    fn malformed_values_fall_back() {
-        let cfg = EnvCfg::from_lookup(lookup_from(&[
-            ("PABA_SEED", "not-a-number"),
-            ("PABA_RUNS", "0"),
-            ("PABA_SCALE", "humongous"),
-        ]));
-        assert_eq!(cfg.seed, DEFAULT_SEED);
-        assert_eq!(cfg.runs_override, None);
-        assert_eq!(cfg.scale, Scale::Default);
-    }
-
-    #[test]
-    fn runs_resolution() {
-        let with_override = EnvCfg {
-            seed: 1,
-            runs_override: Some(7),
-            scale: Scale::Full,
-        };
-        assert_eq!(with_override.runs(1, 10, 100), 7);
-        let by_scale = EnvCfg {
-            seed: 1,
-            runs_override: None,
-            scale: Scale::Full,
-        };
-        assert_eq!(by_scale.runs(1, 10, 100), 100);
-    }
-
-    #[test]
     fn scale_aliases() {
         assert_eq!("ci".parse::<Scale>().unwrap(), Scale::Quick);
         assert_eq!("paper".parse::<Scale>().unwrap(), Scale::Full);
@@ -229,15 +104,5 @@ mod tests {
             test_runs_from(24, lookup_from(&[("PABA_TEST_RUNS", "lots")])),
             24
         );
-    }
-
-    #[test]
-    fn pick_by_scale() {
-        let cfg = EnvCfg {
-            seed: 0,
-            runs_override: None,
-            scale: Scale::Quick,
-        };
-        assert_eq!(cfg.pick(vec![1], vec![2], vec![3]), vec![1]);
     }
 }

@@ -1,7 +1,7 @@
 //! Measurement plumbing shared by every crate in the `paba` workspace.
 //!
 //! This crate is dependency-free (std only) and hosts the small, hot
-//! utilities the simulators and experiment harnesses lean on:
+//! utilities the simulators and the gated suites lean on:
 //!
 //! * [`hash`] — an FxHash-style 64-bit hasher for integer-keyed maps/sets
 //!   (the default SipHash is needlessly slow for `u32`/`u64` node ids).
@@ -10,9 +10,9 @@
 //! * [`stats`] — Welford online mean/variance and summary types.
 //! * [`histogram`] — fixed-bucket integer histograms that merge cheaply.
 //! * [`linreg`] — least-squares fits (incl. log–log scaling exponents).
-//! * [`table`] — Markdown / CSV table emitters used by the bench harnesses.
-//! * [`envcfg`] — tiny environment-variable configuration for bench targets
-//!   (`PABA_RUNS`, `PABA_SEED`, `PABA_SCALE`, …).
+//! * [`table`] — Markdown / CSV table emitters behind every CLI table.
+//! * [`envcfg`] — the shared run defaults: master seed, suite [`envcfg::Scale`]
+//!   and the `PABA_TEST_RUNS` knob of the statistical tests.
 //! * [`json`] — the two shared JSON emission helpers (`escape`, `num`)
 //!   behind every hand-rolled artifact writer, and the reader
 //!   (`parse` → `Json`) behind every artifact check.

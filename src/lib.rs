@@ -57,8 +57,10 @@
 //! # assert!(rep1.max_load() >= 1 && rep2.max_load() >= 1);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/benches/` for
-//! the harnesses regenerating every figure and table of the paper.
+//! See `examples/` for runnable scenarios and `paba repro --scale
+//! quick|default|full` for the gated reproduction of the paper's
+//! theorems, lemmas, examples and figures (the README's *Reproducing the
+//! paper* table maps each claim to its gate or test).
 
 pub use paba_ballsbins as ballsbins;
 pub use paba_churn as churn;

@@ -56,8 +56,8 @@ fn sweep_results_stable_under_recomposition() {
         let mut s = ProximityChoice::two_choice(None);
         simulate(&net, &mut s, 50, rng).max_load()
     };
-    let solo = mcrunner::sweep(&[9u32], 5, 123, Some(2), false, run);
-    let multi = mcrunner::sweep(&[9u32, 10, 11], 5, 123, Some(3), false, run);
+    let solo = mcrunner::sweep(&[9u32], 5, 123, Some(2), run);
+    let multi = mcrunner::sweep(&[9u32, 10, 11], 5, 123, Some(3), run);
     assert_eq!(solo[0].outputs, multi[0].outputs);
 }
 

@@ -7,24 +7,24 @@
 //!    no matter how many mcrunner threads collect it;
 //! 2. reservoir sampling retains request indices uniformly — checked with
 //!    per-bucket z-scores and a χ²-style aggregate built from
-//!    [`paba_theory::bounds::binomial_sigma`];
+//!    [`paba::theory::bounds::binomial_sigma`];
 //! 3. per-worker [`AtomicRecorder`] snapshots merged after join (the
 //!    `paba simulate --telemetry` path) count the same sampler paths at
 //!    any thread count.
 
-use paba_core::{
+use paba::core::{
     simulate_source_profiled, CacheNetwork, IidUniform, PlacementPolicy, ProximityChoice,
     UncachedPolicy,
 };
-use paba_mcrunner::{run_parallel_traced, run_parallel_with_state};
-use paba_popularity::Popularity;
-use paba_telemetry::{
+use paba::mcrunner::{run_parallel_traced, run_parallel_with_state};
+use paba::popularity::Popularity;
+use paba::telemetry::{
     AtomicRecorder, Recorder, SamplerPath, Sampling, TelemetrySnapshot, TraceConfig, TraceRecorder,
     TraceReport,
 };
-use paba_theory::bounds::binomial_sigma;
-use paba_topology::Torus;
-use paba_workload::WorkloadSpec;
+use paba::theory::bounds::binomial_sigma;
+use paba::topology::Torus;
+use paba::workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
