@@ -37,7 +37,7 @@ pub use schedule::{ChurnEvent, ChurnEventKind, ChurnSchedule, ScheduleSpec};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paba_core::{CacheNetwork, GoodnessReport, IidUniform, ProximityChoice, UncachedPolicy};
+    use paba_core::{CacheNetwork, GoodnessReport, IidUniform, ProximityChoice};
     use paba_popularity::Popularity;
     use paba_telemetry::{AtomicRecorder, NullRecorder};
     use paba_topology::Torus;
@@ -72,7 +72,7 @@ mod tests {
             ..ChurnCfg::default()
         };
         let mut strategy = ProximityChoice::two_choice(Some(4));
-        let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source = IidUniform::new();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xFEED);
         let (sim, churn) = simulate_churn(
             &mut network,
@@ -180,7 +180,7 @@ mod tests {
         };
         let rec = AtomicRecorder::new();
         let mut strategy = ProximityChoice::two_choice(Some(4));
-        let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source = IidUniform::new();
         let mut rng = SmallRng::seed_from_u64(9 ^ 0xFEED);
         let (c_sim, c_churn) = simulate_churn(
             &mut network,
@@ -217,7 +217,7 @@ mod tests {
         let mut network = net(5);
         let schedule = ChurnSchedule::default();
         let mut strategy = ProximityChoice::two_choice(Some(4));
-        let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source = IidUniform::new();
         let mut rng = SmallRng::seed_from_u64(77);
         let requests = 2 * network.n() as u64;
         let (churned, report) = simulate_churn(
@@ -234,7 +234,7 @@ mod tests {
 
         let static_net = net(5);
         let mut strategy2 = ProximityChoice::two_choice(Some(4));
-        let mut source2 = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source2 = IidUniform::new();
         let mut rng2 = SmallRng::seed_from_u64(77);
         let static_report = paba_core::simulate_source(
             &static_net,

@@ -11,7 +11,7 @@
 use paba_churn::{
     simulate_churn, ChurnCfg, ChurnReport, ChurnSchedule, RepairPolicy, ScheduleSpec,
 };
-use paba_core::{CacheNetwork, IidUniform, ProximityChoice, UncachedPolicy};
+use paba_core::{CacheNetwork, IidUniform, ProximityChoice};
 use paba_popularity::Popularity;
 use paba_telemetry::NullRecorder;
 use paba_util::mix_seed;
@@ -54,7 +54,7 @@ fn observe(repair: RepairPolicy, graceful: f64, seed: u64) -> Observed {
         ..ChurnCfg::default()
     };
     let mut strategy = ProximityChoice::two_choice(Some(4));
-    let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+    let mut source = IidUniform::new();
     let mut run_rng = SmallRng::seed_from_u64(seed ^ 0xFEED);
     let (sim, churn) = simulate_churn(
         &mut net,

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use paba_core::{
     simulate_source_profiled, CacheNetwork, LeastLoadedInBall, NearestReplica, PlacementPolicy,
-    ProximityChoice, RequestSource, SimReport, StaleLoad, UncachedPolicy,
+    ProximityChoice, RequestSource, SimReport, StaleLoad,
 };
 use paba_mcrunner::{run_parallel_live, LiveRun};
 use paba_popularity::Popularity;
@@ -388,7 +388,7 @@ fn sim_run_one<Rec: Recorder + Clone>(
             &paba_dht::DhtPlacementConfig {
                 vnodes: DHT_VNODES,
                 salt: paba_util::mix_seed(cfg.seed, run_idx as u64),
-                rule: paba_dht::ReplicationRule::Proportional { m: cfg.m },
+                m: cfg.m,
             },
         );
         CacheNetwork::from_parts(Torus::new(cfg.side), library, p)
@@ -397,7 +397,7 @@ fn sim_run_one<Rec: Recorder + Clone>(
     };
     let mut source = cfg
         .spec
-        .build(&net, UncachedPolicy::ResampleFile)
+        .build(&net)
         .expect("spec was validated before spawning runs");
     let requests = if cfg.requests_opt != 0 {
         cfg.requests_opt
@@ -868,7 +868,7 @@ pub fn queue(a: &Args) -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let policy = PlacementPolicy::ProportionalWithReplacement;
     let net = try_network(side, k, m, gamma, policy, &mut rng)?;
-    let mut source = spec.build(&net, UncachedPolicy::ResampleFile)?;
+    let mut source = spec.build(&net)?;
     let cfg = paba_supermarket::QueueSimConfig {
         lambda,
         horizon,
@@ -1333,7 +1333,7 @@ fn workload_generate(a: &Args) -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let policy = PlacementPolicy::ProportionalWithReplacement;
     let net = try_network(side, k, m, gamma, policy, &mut rng)?;
-    let mut source = spec.build(&net, UncachedPolicy::ResampleFile)?;
+    let mut source = spec.build(&net)?;
     let requests = if requests_opt != 0 {
         requests_opt
     } else {
@@ -1364,44 +1364,38 @@ fn workload_inspect(a: &Args) -> Result<(), String> {
     let top: usize = a.parse_or("top", 5)?;
     let trace = paba_workload::Trace::load(path)?;
 
-    let mut file_counts = vec![0u64; trace.k as usize];
-    let mut origin_counts = vec![0u64; trace.n as usize];
-    for r in &trace.records {
-        file_counts[r.file as usize] += 1;
-        origin_counts[r.origin as usize] += 1;
-    }
-    let total = trace.len().max(1) as f64;
-    let ranked = |counts: &[u64]| -> Vec<(usize, u64)> {
-        let mut v: Vec<(usize, u64)> = counts
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, c)| c > 0)
-            .collect();
+    // Each distinct id with its request count, most requested first (ties
+    // by id). Counted by sorting, so memory follows the records, not the
+    // n and K the header claims.
+    let ranked = |mut ids: Vec<u32>| -> Vec<(u32, u64)> {
+        ids.sort_unstable();
+        let mut v: Vec<(u32, u64)> = Vec::new();
+        for id in ids {
+            match v.last_mut() {
+                Some((last, c)) if *last == id => *c += 1,
+                _ => v.push((id, 1)),
+            }
+        }
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(top);
         v
     };
+    let files = ranked(trace.records.iter().map(|r| r.file).collect());
+    let origins = ranked(trace.records.iter().map(|r| r.origin).collect());
+    let total = trace.len().max(1) as f64;
 
     let mut t = Table::new(["property", "value"]);
     t.push_row(["records".to_string(), format!("{}", trace.len())]);
     t.push_row(["nodes n".to_string(), format!("{}", trace.n)]);
     t.push_row(["library K".to_string(), format!("{}", trace.k)]);
-    t.push_row([
-        "distinct files".to_string(),
-        format!("{}", file_counts.iter().filter(|&&c| c > 0).count()),
-    ]);
-    t.push_row([
-        "distinct origins".to_string(),
-        format!("{}", origin_counts.iter().filter(|&&c| c > 0).count()),
-    ]);
-    for (f, c) in ranked(&file_counts) {
+    t.push_row(["distinct files".to_string(), format!("{}", files.len())]);
+    t.push_row(["distinct origins".to_string(), format!("{}", origins.len())]);
+    for &(f, c) in files.iter().take(top) {
         t.push_row([
             format!("top file {f}"),
             format!("{c} requests ({:.2}%)", 100.0 * c as f64 / total),
         ]);
     }
-    for (o, c) in ranked(&origin_counts) {
+    for &(o, c) in origins.iter().take(top) {
         t.push_row([
             format!("top origin {o}"),
             format!("{c} requests ({:.2}%)", 100.0 * c as f64 / total),
@@ -1653,14 +1647,37 @@ mod tests {
         dir
     }
 
+    /// The artifact `{name} --quick {fast_opts}` writes, generated once
+    /// per test binary: the tests that only read a generated golden share
+    /// it instead of each running the suite again.
+    fn generated_artifact(name: &str) -> &'static str {
+        static ARTIFACTS: [std::sync::OnceLock<String>; 3] =
+            [const { std::sync::OnceLock::new() }; 3];
+        let slot = match name {
+            "repro" => 0,
+            "churn" => 1,
+            "queueing" => 2,
+            other => panic!("unknown suite {other}"),
+        };
+        ARTIFACTS[slot].get_or_init(|| {
+            let dir = suite_dir("generated", name);
+            let path = dir.join(format!("BENCH_{name}.json"));
+            let opts = fast_opts(name);
+            suite_cmd(&format!("{name} --quick {opts} --out {}", path.display())).unwrap();
+            let json = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            json
+        })
+    }
+
     /// Generate a suite's artifact, then `--check` a fresh run against it.
     fn assert_generate_then_check_round_trips(name: &str) {
         let opts = fast_opts(name);
         let dir = suite_dir("round_trip", name);
         let golden = dir.join(format!("BENCH_{name}.json"));
         let fresh = dir.join(format!("BENCH_{name}_fresh.json"));
-        suite_cmd(&format!("{name} --quick {opts} --out {}", golden.display())).unwrap();
-        let json = std::fs::read_to_string(&golden).unwrap();
+        let json = generated_artifact(name);
+        std::fs::write(&golden, json).unwrap();
         assert!(json.contains(&format!("\"schema\": \"paba-{name}/1\"")));
         suite_cmd(&format!(
             "{name} --quick {opts} --check --golden {} --out {}",
@@ -1793,17 +1810,9 @@ mod tests {
             std::env::temp_dir().join(format!("paba_cli_repro_doctored_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let golden = dir.join("BENCH_repro.json");
-        suite_cmd(&format!(
-            "repro --quick --runs 16 --out {}",
-            golden.display()
-        ))
-        .unwrap();
         // Corrupt one deterministic-looking metric far beyond noise.
-        let doctored = std::fs::read_to_string(&golden).unwrap().replacen(
-            "\"mean\": ",
-            "\"mean\": 99999 , \"was\": ",
-            1,
-        );
+        let doctored =
+            generated_artifact("repro").replacen("\"mean\": ", "\"mean\": 99999 , \"was\": ", 1);
         std::fs::write(&golden, doctored).unwrap();
         let err = suite_cmd(&format!(
             "repro --quick --runs 16 --check --golden {} --out none",
@@ -2211,11 +2220,7 @@ mod tests {
     fn report_aggregates_generated_artifacts() {
         let dir = std::env::temp_dir().join(format!("paba_cli_report_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        suite_cmd(&format!(
-            "repro --quick --runs 16 --out {}",
-            dir.join("BENCH_repro.json").display()
-        ))
-        .unwrap();
+        std::fs::write(dir.join("BENCH_repro.json"), generated_artifact("repro")).unwrap();
         let out = dir.join("REPORT.md");
         report(&args(&format!(
             "report --dir {} --out {}",

@@ -17,6 +17,8 @@
 
 mod args;
 mod commands;
+#[cfg(test)]
+mod fuzz;
 mod report;
 
 use args::Args;

@@ -12,104 +12,82 @@
 use crate::network::CacheNetwork;
 use paba_topology::{CsrGraph, GraphBuilder, Topology};
 
-/// How to enumerate candidate pairs when building `H`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ConfigGraphMethod {
-    /// Pick whichever enumeration is cheaper for the instance (default).
-    #[default]
-    Auto,
-    /// For each file, test all replica pairs (`Σ_j cnt_j²` distance
-    /// checks) — cheap when replica lists are short.
-    ReplicaPairs,
-    /// For each node, scan its `2r`-ball for sharing partners
-    /// (`n · |B_2r|` shared-file checks) — cheap when replicas are dense.
-    BallScan,
-}
-
 /// Build the configuration graph `H` for proximity parameter `r`.
 ///
 /// A `radius` of `None` removes the distance constraint (edges require
-/// only a shared file), matching `r = ∞`.
-pub fn build_config_graph<T: Topology>(
-    net: &CacheNetwork<T>,
-    radius: Option<u32>,
-    method: ConfigGraphMethod,
-) -> CsrGraph {
+/// only a shared file), matching `r = ∞`. The pairs are enumerated in
+/// whichever of two ways is cheaper for the instance: per file, all
+/// replica pairs (`Σ_j cnt_j²` distance checks, cheap when replica lists
+/// are short), or per node, its `2r`-ball (`n · |B_2r|` shared-file
+/// checks, cheap when replicas are dense). A full placement always takes
+/// the ball scan: its replica lists are implicit.
+pub fn build_config_graph<T: Topology>(net: &CacheNetwork<T>, radius: Option<u32>) -> CsrGraph {
     let topo = net.topo();
     let n = topo.n();
     // The constraint is d(u,v) ≤ 2r.
-    let limit = radius.map(|r| 2 * r);
-    let effective_limit = limit.filter(|&l| l < topo.diameter());
-
-    let method = match method {
-        ConfigGraphMethod::Auto => {
-            let pair_cost: u128 = (0..net.k())
-                .map(|f| {
-                    let c = net.placement().replica_count(f) as u128;
-                    c * c
-                })
-                .sum();
-            let ball = match effective_limit {
-                Some(l) => topo.ball_size_at(0, l) as u128,
-                None => n as u128,
-            };
-            let ball_cost = n as u128 * ball;
-            if pair_cost <= ball_cost {
-                ConfigGraphMethod::ReplicaPairs
-            } else {
-                ConfigGraphMethod::BallScan
-            }
-        }
-        m => m,
+    let limit = radius.map(|r| 2 * r).filter(|&l| l < topo.diameter());
+    let pair_cost: u128 = (0..net.k())
+        .map(|f| {
+            let c = net.placement().replica_count(f) as u128;
+            c * c
+        })
+        .sum();
+    let ball = match limit {
+        Some(l) => topo.ball_size_at(0, l) as u128,
+        None => n as u128,
     };
+    if !net.placement().is_full() && pair_cost <= n as u128 * ball {
+        replica_pairs(net, limit)
+    } else {
+        ball_scan(net, limit)
+    }
+}
 
+/// `H` by testing every replica pair of every file against `limit`.
+fn replica_pairs<T: Topology>(net: &CacheNetwork<T>, limit: Option<u32>) -> CsrGraph {
+    let topo = net.topo();
+    let mut builder = GraphBuilder::new(topo.n());
+    let mut replicas: Vec<u32> = Vec::new();
+    for f in 0..net.k() {
+        replicas.clear();
+        net.placement().for_each_replica(f, |v| replicas.push(v));
+        for i in 0..replicas.len() {
+            for j in (i + 1)..replicas.len() {
+                let (u, v) = (replicas[i], replicas[j]);
+                if limit.is_none_or(|l| topo.dist(u, v) <= l) {
+                    builder.add_edge(u, v);
+                }
+            }
+        }
+    }
+    builder.build()
+}
+
+/// `H` by scanning each node's `limit`-ball (every node when `None`) for
+/// partners that share a file with it.
+fn ball_scan<T: Topology>(net: &CacheNetwork<T>, limit: Option<u32>) -> CsrGraph {
+    let topo = net.topo();
+    let n = topo.n();
+    let placement = net.placement();
     let mut builder = GraphBuilder::new(n);
-    match method {
-        ConfigGraphMethod::ReplicaPairs => {
-            assert!(
-                !net.placement().is_full(),
-                "replica-pair enumeration would be Θ(K·n²) on a full placement; \
-                 use BallScan"
-            );
-            let mut replicas: Vec<u32> = Vec::new();
-            for f in 0..net.k() {
-                let cnt = net.placement().replica_count(f);
-                replicas.clear();
-                replicas.reserve(cnt as usize);
-                net.placement().for_each_replica(f, |v| replicas.push(v));
-                for i in 0..replicas.len() {
-                    for j in (i + 1)..replicas.len() {
-                        let (u, v) = (replicas[i], replicas[j]);
-                        if effective_limit.is_none_or(|l| topo.dist(u, v) <= l) {
-                            builder.add_edge(u, v);
-                        }
+    for u in 0..n {
+        match limit {
+            Some(l) => {
+                let b = &mut builder;
+                topo.for_each_in_ball(u, l, |v| {
+                    if v > u && placement.shares_file(u, v) {
+                        b.add_edge(u, v);
+                    }
+                });
+            }
+            None => {
+                for v in (u + 1)..n {
+                    if placement.shares_file(u, v) {
+                        builder.add_edge(u, v);
                     }
                 }
             }
         }
-        ConfigGraphMethod::BallScan => {
-            for u in 0..n {
-                match effective_limit {
-                    Some(l) => {
-                        let b = &mut builder;
-                        let placement = net.placement();
-                        topo.for_each_in_ball(u, l, |v| {
-                            if v > u && placement.shares_file(u, v) {
-                                b.add_edge(u, v);
-                            }
-                        });
-                    }
-                    None => {
-                        for v in (u + 1)..n {
-                            if net.placement().shares_file(u, v) {
-                                builder.add_edge(u, v);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        ConfigGraphMethod::Auto => unreachable!("resolved above"),
     }
     builder.build()
 }
@@ -150,13 +128,16 @@ mod tests {
         let net = net(1, 7, 12, 3);
         for radius in [Some(1), Some(2), Some(3), None] {
             let expect = brute(&net, radius);
-            for method in [ConfigGraphMethod::ReplicaPairs, ConfigGraphMethod::BallScan] {
-                let g = build_config_graph(&net, radius, method);
+            let limit = radius.map(|r| 2 * r).filter(|&l| l < net.topo().diameter());
+            for (method, g) in [
+                ("replica pairs", replica_pairs(&net, limit)),
+                ("ball scan", ball_scan(&net, limit)),
+            ] {
                 let mut got: Vec<(u32, u32)> = g.edges().collect();
                 got.sort_unstable();
-                assert_eq!(got, expect, "radius {radius:?} method {method:?}");
+                assert_eq!(got, expect, "radius {radius:?} method {method}");
             }
-            let g = build_config_graph(&net, radius, ConfigGraphMethod::Auto);
+            let g = build_config_graph(&net, radius);
             assert_eq!(g.m() as usize, expect.len());
         }
     }
@@ -166,11 +147,11 @@ mod tests {
         let net = net(2, 8, 20, 2);
         let mut prev = 0u64;
         for r in [0u32, 1, 2, 4, 8] {
-            let g = build_config_graph(&net, Some(r), ConfigGraphMethod::Auto);
+            let g = build_config_graph(&net, Some(r));
             assert!(g.m() >= prev, "H must grow with r");
             prev = g.m();
         }
-        let unbounded = build_config_graph(&net, None, ConfigGraphMethod::Auto);
+        let unbounded = build_config_graph(&net, None);
         assert!(unbounded.m() >= prev);
     }
 
@@ -181,15 +162,26 @@ mod tests {
         let library = Library::new(3, Popularity::Uniform);
         let placement = Placement::full(36, 3);
         let net = CacheNetwork::from_parts(topo, library, placement);
-        let g = build_config_graph(&net, Some(1), ConfigGraphMethod::BallScan);
+        let g = build_config_graph(&net, Some(1));
         // With a shared file guaranteed, H = "distance ≤ 2" graph:
         // |B_2| − 1 = 12 neighbors each.
         for v in 0..36 {
             assert_eq!(g.degree(v), 12, "node {v}");
         }
-        // Auto must route full placements to BallScan, not panic.
-        let auto = build_config_graph(&net, Some(1), ConfigGraphMethod::Auto);
-        assert_eq!(auto.m(), g.m());
+        // One file and no effective distance limit (r = ∞, or 2r at the
+        // diameter): both enumerations cost n², and the full placement
+        // must still take the ball scan. H is then complete.
+        let net = CacheNetwork::from_parts(
+            Torus::new(6),
+            Library::new(1, Popularity::Uniform),
+            Placement::full(36, 1),
+        );
+        for radius in [None, Some(3)] {
+            let g = build_config_graph(&net, radius);
+            for v in 0..36 {
+                assert_eq!(g.degree(v), 35, "radius {radius:?}, node {v}");
+            }
+        }
     }
 
     #[test]
@@ -206,7 +198,7 @@ mod tests {
             .library(k, Popularity::Uniform)
             .cache_size(m)
             .build(&mut rng);
-        let g = build_config_graph(&net, Some(r), ConfigGraphMethod::Auto);
+        let g = build_config_graph(&net, Some(r));
         let stats = g.degree_stats();
         // Prediction: each of ~|B_2r| neighbors shares a file with
         // probability ≈ 1−(1−t(u)/K)^M ≈ M²/K (for distinct-ish files).
@@ -224,7 +216,7 @@ mod tests {
     fn zero_radius_keeps_h_empty_under_sparse_placement() {
         // r = 0 ⇒ d(u,v) ≤ 0 ⇒ only self-pairs, which are not edges.
         let net = net(7, 6, 10, 2);
-        let g = build_config_graph(&net, Some(0), ConfigGraphMethod::Auto);
+        let g = build_config_graph(&net, Some(0));
         assert_eq!(g.m(), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! The primary contribution of Pourmiri, Jafari Siavoshani & Shariatpanahi
 //! (IPDPS 2017), implemented as a reusable simulator library:
 //!
-//! * a **cache network** of `n` servers on a torus/grid, each holding `M`
+//! * a **cache network** of `n` servers on a torus, each holding `M`
 //!   files drawn i.i.d. with replacement from a `K`-file library according
 //!   to a popularity profile ([`CacheNetwork`], [`Placement`]);
 //! * **Strategy I** — nearest-replica assignment with exact uniform
@@ -51,7 +51,7 @@ pub mod source;
 pub mod strategy;
 pub mod voronoi;
 
-pub use config_graph::{build_config_graph, ConfigGraphMethod};
+pub use config_graph::build_config_graph;
 pub use goodness::GoodnessReport;
 pub use library::Library;
 pub use metrics::{FallbackKind, SimReport};
@@ -61,8 +61,8 @@ pub use request::{apply_uncached_policy, Request, UncachedPolicy};
 pub use simulate::{simulate, simulate_source, simulate_source_profiled};
 pub use source::{IidUniform, RequestSource};
 pub use strategy::{
-    Assignment, LeastLoadedInBall, NearestReplica, PairMode, ProximityChoice, RadiusFallback,
-    SamplerKind, StaleLoad, Strategy,
+    Assignment, LeastLoadedInBall, NearestReplica, ProximityChoice, SamplerKind, StaleLoad,
+    Strategy,
 };
 pub use voronoi::{VoronoiCells, VoronoiComputer};
 
@@ -73,5 +73,5 @@ pub mod prelude {
         PlacementPolicy, ProximityChoice, RequestSource, SimReport, Strategy,
     };
     pub use paba_popularity::Popularity;
-    pub use paba_topology::{Grid, Topology, Torus};
+    pub use paba_topology::{Topology, Torus};
 }

@@ -19,11 +19,13 @@ pub enum FallbackKind {
     /// The radius-`r` ball held exactly one replica; it was used without a
     /// load comparison (Strategy II only).
     SingleCandidate,
-    /// The radius-`r` ball held no replica; the strategy escalated (to the
-    /// global nearest replica, or the origin — per its configuration).
+    /// The radius-`r` ball held no replica; the strategy escalated to the
+    /// global nearest replica.
     NoCandidateInBall,
-    /// The requested file had no replica anywhere and
-    /// [`crate::UncachedPolicy::ServeAtOrigin`] served it locally.
+    /// The requested file had no replica anywhere and the origin served it
+    /// locally. Synthetic sources redraw uncached files, so only a source
+    /// that replays its files as given (a trace recorded against another
+    /// placement) reaches this.
     Uncached,
 }
 

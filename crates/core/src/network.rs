@@ -3,7 +3,7 @@
 use crate::library::Library;
 use crate::placement::{Placement, PlacementPolicy};
 use paba_popularity::{AliasTable, FileId, Popularity};
-use paba_topology::{Grid, Topology, Torus};
+use paba_topology::{Topology, Torus};
 use rand::Rng;
 use std::fmt;
 
@@ -183,8 +183,7 @@ impl<T: Topology> CacheNetwork<T> {
 }
 
 impl CacheNetwork<Torus> {
-    /// Start a [`CacheNetworkBuilder`] (torus topology; call
-    /// [`CacheNetworkBuilder::build_grid`] for the bounded grid).
+    /// Start a [`CacheNetworkBuilder`] (torus topology).
     pub fn builder() -> CacheNetworkBuilder {
         CacheNetworkBuilder::default()
     }
@@ -213,7 +212,7 @@ fn build_cached_sampler(library: &Library, placement: &Placement) -> (u32, Cache
     (cached_file_count, sampler)
 }
 
-/// Fluent builder for [`CacheNetwork`] on a [`Torus`] or [`Grid`].
+/// Fluent builder for [`CacheNetwork`] on a [`Torus`].
 ///
 /// ```
 /// use paba_core::{CacheNetwork, PlacementPolicy};
@@ -257,16 +256,6 @@ impl CacheNetworkBuilder {
         self
     }
 
-    /// Number of nodes; must be a perfect square.
-    pub fn nodes(mut self, n: u32) -> Self {
-        // Compare in u64: near u32::MAX the rounded square root is 65536
-        // and `side * side` would wrap to 0 in u32 arithmetic.
-        let side = (n as f64).sqrt().round() as u64;
-        assert!(side * side == n as u64, "n={n} is not a perfect square");
-        self.side = side as u32;
-        self
-    }
-
     /// Library size and popularity profile.
     pub fn library(mut self, k: u32, popularity: Popularity) -> Self {
         self.k = k;
@@ -304,24 +293,7 @@ impl CacheNetworkBuilder {
         self,
         rng: &mut R,
     ) -> Result<CacheNetwork<Torus>, BuildError> {
-        self.try_build_on(Torus::new, rng)
-    }
-
-    /// Build on a bounded grid (Remark 1 ablation).
-    ///
-    /// # Panics
-    /// As [`CacheNetworkBuilder::build`].
-    pub fn build_grid<R: Rng + ?Sized>(self, rng: &mut R) -> CacheNetwork<Grid> {
-        self.try_build_on(Grid::new, rng)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn try_build_on<T: Topology, R: Rng + ?Sized>(
-        self,
-        topology: fn(u32) -> T,
-        rng: &mut R,
-    ) -> Result<CacheNetwork<T>, BuildError> {
-        let topo = topology(self.side);
+        let topo = Torus::new(self.side);
         let library = Library::try_new(self.k, self.popularity)?;
         let placement = Placement::try_generate(topo.n(), &library, self.m, self.policy, rng)?;
         Ok(CacheNetwork::from_parts(topo, library, placement))
@@ -364,36 +336,6 @@ mod tests {
         );
         let err = BuildError::reserve::<u64>(u64::MAX, "test buffer").unwrap_err();
         assert_eq!(err, BuildError::of::<u64>(u64::MAX, "test buffer"));
-    }
-
-    #[test]
-    fn nodes_accepts_perfect_square() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let net = CacheNetwork::builder()
-            .nodes(2025)
-            .library(10, Popularity::Uniform)
-            .cache_size(1)
-            .build(&mut rng);
-        assert_eq!(net.n(), 2025);
-        assert_eq!(net.topo().side(), 45);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a perfect square")]
-    fn nodes_rejects_non_square() {
-        let _ = CacheNetwork::builder().nodes(2026);
-    }
-
-    #[test]
-    fn grid_build_works() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let net = CacheNetwork::builder()
-            .torus_side(5)
-            .library(8, Popularity::Uniform)
-            .cache_size(2)
-            .build_grid(&mut rng);
-        assert_eq!(net.n(), 25);
-        assert_eq!(net.topo().diameter(), 8); // grid 2(side−1), torus would be 4
     }
 
     #[test]

@@ -854,7 +854,7 @@ impl Placement {
     }
 
     /// Number of files with no replica anywhere (possible under the
-    /// with-replacement model; the request stream must handle them — see
+    /// with-replacement model; synthetic request sources redraw them — see
     /// [`crate::UncachedPolicy`]).
     pub fn uncached_files(&self) -> u32 {
         match &self.kind {

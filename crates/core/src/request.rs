@@ -5,7 +5,9 @@
 //! per-server demand `D_i → Po(1)` as `n` grows). Under the paper's
 //! with-replacement placement a file can end up with *zero* replicas; the
 //! theory conditions on regimes where this does not happen w.h.p., but a
-//! simulator must decide. [`UncachedPolicy`] makes that decision explicit.
+//! simulator must decide. [`UncachedPolicy`] names the decision: an
+//! uncached draw is redrawn from the cached sub-library, so every request
+//! is served by a node that caches its file.
 
 use crate::network::CacheNetwork;
 use paba_popularity::FileId;
@@ -21,45 +23,36 @@ pub struct Request {
     pub file: FileId,
 }
 
-/// What to do when a sampled file has no replica anywhere in the network.
+/// What a synthetic request source does when a sampled file has no
+/// replica anywhere in the network. It has one value; the benchmark
+/// harness still names it through [`crate::IidUniform::with_policy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum UncachedPolicy {
     /// Condition the request distribution on the cached sub-library (an
     /// O(1) draw from [`crate::CacheNetwork::sample_cached_file`]'s
     /// precomputed conditional sampler). Keeps "n balls, all served"
-    /// exactly like the paper's balls-into-bins framing. Default.
+    /// exactly like the paper's balls-into-bins framing.
     #[default]
     ResampleFile,
-    /// Serve the request at its origin (models a backhaul fetch): the
-    /// origin's load increases, zero hops are charged, and the event is
-    /// counted as [`crate::metrics::FallbackKind::Uncached`].
-    ServeAtOrigin,
-    /// Panic — for experiments whose regime guarantees full coverage and
-    /// where an uncached file indicates a configuration error.
-    Forbid,
 }
 
 impl Request {
-    /// Sample the next request for `net` under `policy`.
+    /// Sample the next request for `net`: a uniform origin and a
+    /// popularity draw, redrawn from the cached sub-library when uncached.
     ///
     /// # Panics
-    /// With [`UncachedPolicy::Forbid`] if the drawn file is uncached, and
-    /// with [`UncachedPolicy::ResampleFile`] if *no* file is cached.
-    pub fn sample<T: Topology, R: Rng + ?Sized>(
-        net: &CacheNetwork<T>,
-        policy: UncachedPolicy,
-        rng: &mut R,
-    ) -> Self {
+    /// If *no* file is cached.
+    pub fn sample<T: Topology, R: Rng + ?Sized>(net: &CacheNetwork<T>, rng: &mut R) -> Self {
         let origin = rng.gen_range(0..net.n());
         let file = net.library().sample_file(rng);
-        let file = apply_uncached_policy(net, file, policy, rng);
+        let file = apply_uncached_policy(net, file, rng);
         Self { origin, file }
     }
 }
 
-/// Post-process a popularity draw according to `policy`: resample an
-/// uncached `file` from the conditional cached-files sampler, pass it
-/// through, or panic — the shared tail of every request source.
+/// Post-process a popularity draw: resample an uncached `file` from the
+/// conditional cached-files sampler, pass a cached one through — the
+/// shared tail of every synthetic request source.
 ///
 /// # Panics
 /// See [`Request::sample`].
@@ -67,32 +60,19 @@ impl Request {
 pub fn apply_uncached_policy<T: Topology, R: Rng + ?Sized>(
     net: &CacheNetwork<T>,
     file: FileId,
-    policy: UncachedPolicy,
     rng: &mut R,
 ) -> FileId {
-    match policy {
-        UncachedPolicy::ResampleFile => {
-            if net.placement().replica_count(file) == 0 {
-                assert!(
-                    net.cached_file_count() > 0,
-                    "no file has any replica; cannot resample"
-                );
-                // One O(1) draw from the precomputed conditional sampler —
-                // the old redraw loop needed O(K) expected draws when only
-                // a few files were cached.
-                return net.sample_cached_file(rng);
-            }
-            file
-        }
-        UncachedPolicy::ServeAtOrigin => file,
-        UncachedPolicy::Forbid => {
-            assert!(
-                net.placement().replica_count(file) > 0,
-                "file {file} has no replica (UncachedPolicy::Forbid)"
-            );
-            file
-        }
+    if net.placement().replica_count(file) == 0 {
+        assert!(
+            net.cached_file_count() > 0,
+            "no file has any replica; cannot resample"
+        );
+        // One O(1) draw from the precomputed conditional sampler — the old
+        // redraw loop needed O(K) expected draws when only a few files were
+        // cached.
+        return net.sample_cached_file(rng);
     }
+    file
 }
 
 #[cfg(test)]
@@ -119,7 +99,7 @@ mod tests {
         assert!(net.placement().uncached_files() > 0);
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..2000 {
-            let r = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let r = Request::sample(&net, &mut rng);
             assert!(r.origin < net.n());
             assert!(
                 net.placement().replica_count(r.file) > 0,
@@ -130,44 +110,13 @@ mod tests {
     }
 
     #[test]
-    fn serve_at_origin_can_yield_uncached() {
-        let net = tiny_net(3, 500, 1);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut saw_uncached = false;
-        for _ in 0..2000 {
-            let r = Request::sample(&net, UncachedPolicy::ServeAtOrigin, &mut rng);
-            if net.placement().replica_count(r.file) == 0 {
-                saw_uncached = true;
-            }
-        }
-        assert!(saw_uncached, "expected some uncached draws in this regime");
-    }
-
-    #[test]
-    fn forbid_passes_when_everything_cached() {
-        // K=4 files, 25 nodes with M=4 distinct: all files cached.
-        let mut rng = SmallRng::seed_from_u64(6);
-        let net = CacheNetwork::builder()
-            .torus_side(5)
-            .library(4, Popularity::Uniform)
-            .cache_size(4)
-            .placement_policy(crate::PlacementPolicy::ProportionalDistinct)
-            .build(&mut rng);
-        for _ in 0..100 {
-            let _ = Request::sample(&net, UncachedPolicy::Forbid, &mut rng);
-        }
-    }
-
-    #[test]
     fn origins_are_uniformish() {
         let net = tiny_net(8, 10, 2);
         let mut rng = SmallRng::seed_from_u64(9);
         let mut counts = vec![0u32; net.n() as usize];
         let trials = 25_000;
         for _ in 0..trials {
-            counts
-                [Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng).origin as usize] +=
-                1;
+            counts[Request::sample(&net, &mut rng).origin as usize] += 1;
         }
         let expect = trials as f64 / net.n() as f64;
         for (u, &c) in counts.iter().enumerate() {

@@ -4,13 +4,11 @@
 //! (origin uniform, file popularity-distributed), each assigned by the
 //! strategy *given the loads accumulated so far* — the sequential
 //! balls-into-bins dynamic all the theorems are about. One loop,
-//! [`simulate_source_profiled`], serves every entry point; the strategy,
-//! the uncached-file policy (carried by the source) and the workload are
-//! its parameters.
+//! [`simulate_source_profiled`], serves every entry point; the strategy
+//! and the workload (the request source) are its parameters.
 
 use crate::metrics::SimReport;
 use crate::network::CacheNetwork;
-use crate::request::UncachedPolicy;
 use crate::source::{IidUniform, RequestSource};
 use crate::strategy::Strategy;
 use paba_telemetry::{NullRecorder, Recorder, SpanTimer, Stage};
@@ -18,18 +16,16 @@ use paba_topology::Topology;
 use rand::Rng;
 
 /// Run `requests` sequential requests of the paper's workload
-/// ([`IidUniform`] with [`UncachedPolicy::ResampleFile`], the workspace
-/// default — see DESIGN.md §5) through `strategy` and return the
-/// aggregated [`SimReport`]. For another policy or workload, pass its
-/// source to [`simulate_source`].
+/// ([`IidUniform`]) through `strategy` and return the aggregated
+/// [`SimReport`]. For another workload, pass its source to
+/// [`simulate_source`].
 pub fn simulate<T: Topology, S: Strategy<T>, R: Rng + ?Sized>(
     net: &CacheNetwork<T>,
     strategy: &mut S,
     requests: u64,
     rng: &mut R,
 ) -> SimReport {
-    let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
-    simulate_source(net, strategy, &mut source, requests, rng)
+    simulate_source(net, strategy, &mut IidUniform::new(), requests, rng)
 }
 
 /// Run `requests` sequential requests drawn from an arbitrary
@@ -193,6 +189,26 @@ mod tests {
         assert_eq!(rep.max_load(), 0);
     }
 
+    /// Cycles through fixed requests, as a trace recorded against another
+    /// placement replays files this one may not cache.
+    struct Replay(Vec<crate::Request>, usize);
+
+    impl RequestSource<Torus> for Replay {
+        fn next_request<R: Rng + ?Sized>(
+            &mut self,
+            _net: &CacheNetwork<Torus>,
+            _rng: &mut R,
+        ) -> crate::Request {
+            let req = self.0[self.1 % self.0.len()];
+            self.1 += 1;
+            req
+        }
+
+        fn name(&self) -> &'static str {
+            "replay"
+        }
+    }
+
     #[test]
     fn serve_at_origin_policy_counts_uncached() {
         let mut rng = SmallRng::seed_from_u64(8);
@@ -201,10 +217,27 @@ mod tests {
             .library(500, Popularity::Uniform)
             .cache_size(1)
             .build(&mut rng);
+        let replica_count = |f: &u32| sparse.placement().replica_count(*f);
+        let uncached = (0..sparse.k()).find(|f| replica_count(f) == 0).unwrap();
+        let cached = (0..sparse.k()).find(|f| replica_count(f) > 0).unwrap();
+        let mut source = Replay(
+            vec![
+                crate::Request {
+                    origin: 3,
+                    file: uncached,
+                },
+                crate::Request {
+                    origin: 3,
+                    file: cached,
+                },
+            ],
+            0,
+        );
         let mut s = NearestReplica::new();
-        let mut source = IidUniform::with_policy(UncachedPolicy::ServeAtOrigin);
         let rep = simulate_source(&sparse, &mut s, &mut source, 2000, &mut rng);
-        assert!(rep.uncached > 0, "this regime must hit uncached files");
+        // The uncached half is served at its origin.
+        assert_eq!(rep.uncached, 1000);
+        assert!(rep.loads[3] >= 1000);
         assert!(rep.check_conservation());
     }
 }

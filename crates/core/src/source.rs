@@ -34,38 +34,30 @@ pub trait RequestSource<T: Topology> {
 
 /// The paper's baseline workload: origin uniform among the `n` servers,
 /// file i.i.d. from the library's popularity profile, uncached draws
-/// handled per [`UncachedPolicy`].
+/// redrawn from the cached sub-library ([`UncachedPolicy::ResampleFile`]).
 ///
 /// Bit-for-bit compatible with the legacy [`Request::sample`] stream: for
-/// the same network, policy, and RNG state it emits exactly the same
-/// requests, consuming exactly the same random draws.
+/// the same network and RNG state it emits exactly the same requests,
+/// consuming exactly the same random draws.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct IidUniform {
-    policy: UncachedPolicy,
-}
+pub struct IidUniform;
 
 impl IidUniform {
-    /// Baseline source with the workspace-default
-    /// [`UncachedPolicy::ResampleFile`].
+    /// The baseline source.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Baseline source with an explicit uncached-file policy.
-    pub fn with_policy(policy: UncachedPolicy) -> Self {
-        Self { policy }
-    }
-
-    /// The configured uncached-file policy.
-    pub fn policy(&self) -> UncachedPolicy {
-        self.policy
+    /// [`IidUniform::new`], naming the uncached-file policy's one value.
+    pub fn with_policy(_policy: UncachedPolicy) -> Self {
+        Self
     }
 }
 
 impl<T: Topology> RequestSource<T> for IidUniform {
     #[inline]
     fn next_request<R: Rng + ?Sized>(&mut self, net: &CacheNetwork<T>, rng: &mut R) -> Request {
-        Request::sample(net, self.policy, rng)
+        Request::sample(net, rng)
     }
 
     fn name(&self) -> &'static str {
@@ -93,18 +85,16 @@ mod tests {
     #[test]
     fn iid_uniform_matches_legacy_request_sample_bit_for_bit() {
         let net = net(1);
-        for policy in [UncachedPolicy::ResampleFile, UncachedPolicy::ServeAtOrigin] {
-            let mut a = SmallRng::seed_from_u64(42);
-            let mut b = a.clone();
-            let mut src = IidUniform::with_policy(policy);
-            for _ in 0..500 {
-                let legacy = Request::sample(&net, policy, &mut a);
-                let sourced = src.next_request(&net, &mut b);
-                assert_eq!(legacy, sourced);
-            }
-            // Same number of draws consumed: the streams stay in lockstep.
-            assert_eq!(a, b);
+        let mut a = SmallRng::seed_from_u64(42);
+        let mut b = a.clone();
+        let mut src = IidUniform::new();
+        for _ in 0..500 {
+            let legacy = Request::sample(&net, &mut a);
+            let sourced = src.next_request(&net, &mut b);
+            assert_eq!(legacy, sourced);
         }
+        // Same number of draws consumed: the streams stay in lockstep.
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -179,7 +179,6 @@ impl<T: Topology, Rec: Recorder> Strategy<T> for LeastLoadedInBall<Rec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::UncachedPolicy;
     use crate::simulate::simulate;
     use crate::strategy::ProximityChoice;
     use paba_popularity::Popularity;
@@ -207,7 +206,7 @@ mod tests {
             *l = (i as u32 * 7) % 13;
         }
         for _ in 0..300 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let req = Request::sample(&net, &mut rng);
             let a = s.assign(&net, &loads, req, &mut rng);
             assert!(net.placement().caches(a.server, req.file));
             // No eligible replica may be strictly less loaded.
@@ -226,7 +225,7 @@ mod tests {
         let loads = vec![0u32; net.n() as usize];
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..300 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let req = Request::sample(&net, &mut rng);
             let a = s.assign(&net, &loads, req, &mut rng);
             match a.fallback {
                 None => assert!(a.hops <= 2),

@@ -17,7 +17,7 @@ mod stale;
 
 pub use least_loaded::LeastLoadedInBall;
 pub use nearest::NearestReplica;
-pub use proximity::{PairMode, ProximityChoice, RadiusFallback};
+pub use proximity::ProximityChoice;
 pub use sampler::SamplerKind;
 pub use stale::StaleLoad;
 

@@ -52,8 +52,9 @@ impl<T: Topology, Rec: Recorder> Strategy<T> for NearestReplica<Rec> {
                 hops,
                 fallback: None,
             },
-            // Uncached file (only reachable under UncachedPolicy::ServeAtOrigin):
-            // the origin fetches from outside the network and serves locally.
+            // Uncached file (only reachable by trace replay, which hands over
+            // files this placement may not cache): the origin fetches from
+            // outside the network and serves locally.
             None => Assignment {
                 server: req.origin,
                 hops: 0,
@@ -81,7 +82,6 @@ impl<T: Topology, Rec: Recorder> Strategy<T> for NearestReplica<Rec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::UncachedPolicy;
     use crate::simulate::simulate;
     use paba_popularity::Popularity;
     use paba_topology::Torus;
@@ -104,7 +104,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let loads = vec![0u32; net.n() as usize];
         for _ in 0..500 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let req = Request::sample(&net, &mut rng);
             let a = strat.assign(&net, &loads, req, &mut rng);
             assert!(net.placement().caches(a.server, req.file));
             assert_eq!(a.hops, net.topo().dist(req.origin, a.server));

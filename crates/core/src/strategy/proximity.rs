@@ -7,18 +7,14 @@
 //! — retaining the `Θ(log log n)` maximum load of the unconstrained
 //! two-choice process.
 //!
-//! The implementation generalizes the definition along three axes, all
-//! defaulting to the paper's setting:
-//!
-//! * **`d` choices** (`d = 2` in the paper; `d = 1` yields the
-//!   load-oblivious "random nearby replica" baseline);
-//! * **pair sampling** — unordered *distinct* pairs (matching Lemma 3's
-//!   `1/C(F_j(w), 2)` edge probability) or independent with-replacement
-//!   draws, for ablation;
-//! * **radius fallback** — what to do when `B_r(u)` holds no replica at
-//!   all (impossible w.h.p. in the analyzed regimes, but a simulator must
-//!   answer): escalate to the global nearest replica (default) or serve at
-//!   the origin.
+//! The candidates are *distinct* (Lemma 3's `1/C(F_j(w), 2)` edge
+//! probability samples unordered pairs). The implementation generalizes
+//! the definition to **`d` choices** (`d = 2` in the paper; `d = 1` yields
+//! the load-oblivious "random nearby replica" baseline). When `B_r(u)`
+//! holds no replica at all (impossible w.h.p. in the analyzed regimes,
+//! but a simulator must answer), the request escalates to the global
+//! nearest replica, so every request is served by a caching node and the
+//! extra hops show in the cost metric.
 
 use crate::metrics::FallbackKind;
 use crate::network::CacheNetwork;
@@ -28,28 +24,6 @@ use crate::strategy::{nearest_replica, Assignment, SamplerKind, Strategy};
 use paba_telemetry::{NullRecorder, Recorder, SamplerPath};
 use paba_topology::{NodeId, Topology};
 use rand::Rng;
-
-/// How the candidate multiset is drawn from the eligible pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PairMode {
-    /// `d` *distinct* candidates, uniform over subsets (the paper's model;
-    /// Lemma 3 samples unordered pairs).
-    #[default]
-    Distinct,
-    /// `d` independent draws with replacement (classic Greedy\[d\] style).
-    WithReplacement,
-}
-
-/// What to do when no replica lies within the proximity ball.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RadiusFallback {
-    /// Escalate to the global nearest replica (keeps every request served
-    /// by a caching node; the extra hops are visible in the cost metric).
-    #[default]
-    NearestGlobal,
-    /// Serve at the origin (models a backhaul fetch; zero hops charged).
-    ServeAtOrigin,
-}
 
 /// Strategy II — proximity-aware `d`-choice assignment.
 ///
@@ -62,8 +36,6 @@ pub enum RadiusFallback {
 pub struct ProximityChoice<Rec: Recorder = NullRecorder> {
     radius: Option<u32>,
     d: u32,
-    pair_mode: PairMode,
-    fallback: RadiusFallback,
     /// Workhorse: hybrid pool sampler for finite radii (owns the
     /// exact-path materialization buffer).
     sampler: PoolSampler,
@@ -89,8 +61,6 @@ impl ProximityChoice {
         Self {
             radius,
             d,
-            pair_mode: PairMode::default(),
-            fallback: RadiusFallback::default(),
             sampler: PoolSampler::new(SamplerKind::default()),
             picks: Vec::with_capacity(d as usize),
             rec: NullRecorder,
@@ -106,8 +76,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
         ProximityChoice {
             radius: self.radius,
             d: self.d,
-            pair_mode: self.pair_mode,
-            fallback: self.fallback,
             sampler: self.sampler,
             picks: self.picks,
             rec,
@@ -119,12 +87,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
         &self.rec
     }
 
-    /// Override the candidate sampling mode.
-    pub fn pair_mode(mut self, mode: PairMode) -> Self {
-        self.pair_mode = mode;
-        self
-    }
-
     /// Override the pool sampler ([`SamplerKind::Hybrid`] by default).
     pub fn sampler(mut self, kind: SamplerKind) -> Self {
         self.sampler.set_kind(kind);
@@ -134,12 +96,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
     /// The configured pool sampler.
     pub fn sampler_kind(&self) -> SamplerKind {
         self.sampler.kind()
-    }
-
-    /// Override the empty-ball fallback behaviour.
-    pub fn radius_fallback(mut self, fb: RadiusFallback) -> Self {
-        self.fallback = fb;
-        self
     }
 
     /// The configured radius (`None` = unconstrained).
@@ -184,7 +140,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
                 sample_by_index(
                     cnt,
                     2,
-                    PairMode::Distinct,
                     |i| placement.replica_at(file, i),
                     &mut self.picks,
                     rng,
@@ -212,7 +167,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
                     file,
                     r,
                     2,
-                    PairMode::Distinct,
                     &mut self.picks,
                     rng,
                     &NullRecorder, // diagnostic path: keep out of profiles
@@ -292,7 +246,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
                 sample_by_index(
                     cnt,
                     self.d,
-                    self.pair_mode,
                     |i| placement.replica_at(req.file, i),
                     &mut self.picks,
                     rng,
@@ -311,20 +264,15 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
                     };
                 }
                 self.picks.clear();
-                if matches!(self.pair_mode, PairMode::Distinct) && ball <= self.d as u64 {
+                if ball <= self.d as u64 {
                     // Fewer ball nodes than choices: take them all.
                     let picks = &mut self.picks;
                     topo.for_each_in_ball(req.origin, r, |v| picks.push(v));
                 } else {
-                    for _ in 0..self.d {
-                        loop {
-                            let v = topo.sample_in_ball(req.origin, r, rng);
-                            if matches!(self.pair_mode, PairMode::WithReplacement)
-                                || !self.picks.contains(&v)
-                            {
-                                self.picks.push(v);
-                                break;
-                            }
+                    while (self.picks.len() as u32) < self.d {
+                        let v = topo.sample_in_ball(req.origin, r, rng);
+                        if !self.picks.contains(&v) {
+                            self.picks.push(v);
                         }
                     }
                 }
@@ -340,30 +288,20 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
                     req.file,
                     r,
                     self.d,
-                    self.pair_mode,
                     &mut self.picks,
                     rng,
                     &self.rec,
                 );
                 match drawn {
                     PoolDraw::Empty => {
-                        // Empty ball: escalate per the configured fallback.
-                        return match self.fallback {
-                            RadiusFallback::NearestGlobal => {
-                                let (server, hops) =
-                                    nearest_replica(net, req.origin, req.file, rng, &self.rec)
-                                        .expect("cnt > 0 implies a nearest replica exists");
-                                Assignment {
-                                    server,
-                                    hops,
-                                    fallback: Some(FallbackKind::NoCandidateInBall),
-                                }
-                            }
-                            RadiusFallback::ServeAtOrigin => Assignment {
-                                server: req.origin,
-                                hops: 0,
-                                fallback: Some(FallbackKind::NoCandidateInBall),
-                            },
+                        // Empty ball: escalate to the global nearest replica.
+                        let (server, hops) =
+                            nearest_replica(net, req.origin, req.file, rng, &self.rec)
+                                .expect("cnt > 0 implies a nearest replica exists");
+                        return Assignment {
+                            server,
+                            hops,
+                            fallback: Some(FallbackKind::NoCandidateInBall),
                         };
                     }
                     PoolDraw::Drawn if self.picks.len() == 1 && self.d >= 2 => {
@@ -421,7 +359,6 @@ impl<T: Topology, Rec: Recorder> Strategy<T> for ProximityChoice<Rec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::UncachedPolicy;
     use crate::simulate::simulate;
     use crate::strategy::NearestReplica;
     use paba_popularity::Popularity;
@@ -445,7 +382,7 @@ mod tests {
         let loads = vec![0u32; net.n() as usize];
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..1000 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let req = Request::sample(&net, &mut rng);
             let a = strat.assign(&net, &loads, req, &mut rng);
             assert!(net.placement().caches(a.server, req.file));
             assert_eq!(a.hops, net.topo().dist(req.origin, a.server));
@@ -534,13 +471,6 @@ mod tests {
         assert_eq!(a.fallback, Some(FallbackKind::NoCandidateInBall));
         assert!(a.hops > r);
         assert!(net.placement().caches(a.server, file));
-
-        let mut strat =
-            ProximityChoice::two_choice(Some(r)).radius_fallback(RadiusFallback::ServeAtOrigin);
-        let b = strat.assign(&net, &loads, Request { origin, file }, &mut rng);
-        assert_eq!(b.server, origin);
-        assert_eq!(b.hops, 0);
-        assert_eq!(b.fallback, Some(FallbackKind::NoCandidateInBall));
     }
 
     #[test]
@@ -556,7 +486,7 @@ mod tests {
             let library = crate::Library::new(4, Popularity::Uniform);
             let placement = crate::Placement::full(n, 4);
             let net = CacheNetwork::from_parts(topo, library, placement);
-            let mut strat = ProximityChoice::two_choice(None).pair_mode(PairMode::WithReplacement);
+            let mut strat = ProximityChoice::two_choice(None);
             let mut rng = SmallRng::seed_from_u64(seed);
             let rep = simulate(&net, &mut strat, n as u64, &mut rng);
             ours += rep.max_load() as f64 / 6.0;
@@ -633,26 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_modes_statistically_close() {
-        let mut dist_avg = 0.0;
-        let mut repl_avg = 0.0;
-        let runs = 6;
-        for seed in 0..runs {
-            let net = net(700 + seed, 20, 40, 10);
-            let mut rng = SmallRng::seed_from_u64(800 + seed);
-            let mut sd = ProximityChoice::two_choice(None).pair_mode(PairMode::Distinct);
-            dist_avg += simulate(&net, &mut sd, net.n() as u64, &mut rng).max_load() as f64;
-            let mut rng = SmallRng::seed_from_u64(900 + seed);
-            let mut sr = ProximityChoice::two_choice(None).pair_mode(PairMode::WithReplacement);
-            repl_avg += simulate(&net, &mut sr, net.n() as u64, &mut rng).max_load() as f64;
-        }
-        assert!(
-            (dist_avg - repl_avg).abs() / runs as f64 <= 0.5,
-            "pair modes should agree: {dist_avg} vs {repl_avg}"
-        );
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let net = net(11, 10, 25, 3);
         for kind in [SamplerKind::Hybrid, SamplerKind::ExactScan] {
@@ -712,7 +622,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(22);
         let mut pairs_seen = 0;
         for _ in 0..500 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let req = Request::sample(&net, &mut rng);
             if let Some((a, b)) = strat.sample_pair(&net, req.origin, req.file, &mut rng) {
                 pairs_seen += 1;
                 assert_ne!(a, b, "pair must be distinct");
@@ -731,11 +641,10 @@ mod tests {
     #[test]
     fn sample_pair_restores_configuration() {
         let net = net(23, 8, 10, 3);
-        let mut strat =
-            ProximityChoice::with_choices(Some(2), 5).pair_mode(PairMode::WithReplacement);
+        let mut strat = ProximityChoice::with_choices(Some(2), 5);
         let mut rng = SmallRng::seed_from_u64(24);
         let _ = strat.sample_pair(&net, 0, 0, &mut rng);
         assert_eq!(strat.choices(), 5);
-        assert!(matches!(strat.pair_mode, PairMode::WithReplacement));
+        assert_eq!(strat.radius(), Some(2));
     }
 }

@@ -33,7 +33,6 @@
 
 use crate::network::CacheNetwork;
 use crate::placement::Placement;
-use crate::strategy::proximity::PairMode;
 use paba_telemetry::{Counter, Recorder, SamplerPath};
 use paba_topology::{NodeId, Topology};
 use rand::Rng;
@@ -43,14 +42,9 @@ use rand::Rng;
 pub enum SamplerKind {
     /// Adaptive hybrid sampling: two-sided rejection for dense pools,
     /// windowed exact materialization otherwise (the default; `O(1)`
-    /// expected per request in the paper's regimes).
-    ///
-    /// Identical in distribution to [`SamplerKind::ExactScan`], with one
-    /// reporting nuance: under [`PairMode::WithReplacement`] a pool of
-    /// exactly one node may be returned as `d` accepted copies instead of
-    /// being flagged `SingleCandidate` (rejection sampling cannot learn
-    /// the pool size). The paper's default distinct mode is
-    /// flag-identical.
+    /// expected per request in the paper's regimes). Identical in
+    /// distribution and in its fallback flags to
+    /// [`SamplerKind::ExactScan`].
     #[default]
     Hybrid,
     /// Always materialize the pool per request by scanning whichever of
@@ -63,9 +57,9 @@ pub enum SamplerKind {
 /// Outcome of a pool draw.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PoolDraw {
-    /// `picks` holds the candidates: `d` of them, or the entire pool if it
-    /// is smaller (distinct mode), or a single node when the pool proved
-    /// to be a singleton.
+    /// `picks` holds the candidates: `d` distinct ones, or the entire
+    /// pool if it is smaller (a single node when the pool proved to be a
+    /// singleton).
     Drawn,
     /// The pool is empty (no replica within the ball).
     Empty,
@@ -110,8 +104,8 @@ impl PoolSampler {
         self.kind = kind;
     }
 
-    /// Draw `d` uniform candidates from `B_r(origin) ∩ replicas(file)`
-    /// into `picks` under `mode`, assuming `replica_count(file) > 0`, a
+    /// Draw `d` distinct uniform candidates from `B_r(origin) ∩
+    /// replicas(file)` into `picks`, assuming `replica_count(file) > 0`, a
     /// finite effective radius `r < diameter`, and a sparse placement.
     ///
     /// Records exactly one [`SamplerPath`] per call on `rec` (including
@@ -125,7 +119,6 @@ impl PoolSampler {
         file: u32,
         r: u32,
         d: u32,
-        mode: PairMode,
         picks: &mut Vec<NodeId>,
         rng: &mut R,
         rec: &Rec,
@@ -166,10 +159,9 @@ impl PoolSampler {
                     }
                     v
                 };
-                if mode == PairMode::Distinct && picks.contains(&v) {
-                    continue;
+                if !picks.contains(&v) {
+                    picks.push(v);
                 }
-                picks.push(v);
             }
             if Rec::ENABLED && ball_attempts > 0 {
                 record_caches(rec, placement, file, ball_attempts);
@@ -183,10 +175,9 @@ impl PoolSampler {
                 return PoolDraw::Drawn;
             }
             // Budget exhausted: the pool is thinner than the density
-            // estimate promised (possibly empty, or a singleton in
-            // distinct mode). Settle it exactly below; partial picks are
-            // discarded and redrawn from scratch, so the result stays
-            // exactly uniform.
+            // estimate promised (possibly empty, or a singleton). Settle
+            // it exactly below; partial picks are discarded and redrawn
+            // from scratch, so the result stays exactly uniform.
             rec.count(Counter::RejectionBudgetExhausted, 1);
         }
         match self.kind {
@@ -208,14 +199,7 @@ impl PoolSampler {
                 PoolDraw::Drawn
             }
             len => {
-                sample_by_index(
-                    len as u32,
-                    d,
-                    mode,
-                    |i| self.candidates[i as usize],
-                    picks,
-                    rng,
-                );
+                sample_by_index(len as u32, d, |i| self.candidates[i as usize], picks, rng);
                 PoolDraw::Drawn
             }
         }
@@ -390,53 +374,38 @@ pub(crate) fn interp_lower_bound(sorted: &[NodeId], target: NodeId, n: u32) -> u
     lo + sorted[lo..hi].partition_point(|&v| v < target)
 }
 
-/// Sample `d` candidate *indices* from `0..cnt` into `picks` (as ids via
-/// `map`), honouring the pair mode. `cnt ≥ 1`. In distinct mode with
-/// `cnt ≤ d` the entire index range is taken.
+/// Sample `d` distinct candidate *indices* from `0..cnt` into `picks` (as
+/// ids via `map`). `cnt ≥ 1`, and `map` must be injective (replica lists
+/// and materialized pools hold distinct nodes), so rejecting a repeated
+/// id rejects a repeated index. With `cnt ≤ d` the entire index range is
+/// taken.
 pub(crate) fn sample_by_index<R: Rng + ?Sized, F: Fn(u32) -> NodeId>(
     cnt: u32,
     d: u32,
-    mode: PairMode,
     map: F,
     picks: &mut Vec<NodeId>,
     rng: &mut R,
 ) {
     picks.clear();
-    match mode {
-        PairMode::WithReplacement => {
-            for _ in 0..d {
-                picks.push(map(rng.gen_range(0..cnt)));
-            }
+    if cnt <= d {
+        for i in 0..cnt {
+            picks.push(map(i));
         }
-        PairMode::Distinct => {
-            if cnt <= d {
-                for i in 0..cnt {
-                    picks.push(map(i));
-                }
-            } else if d == 2 {
-                // Exact unordered distinct pair in two draws.
-                let i = rng.gen_range(0..cnt);
-                let mut j = rng.gen_range(0..cnt - 1);
-                if j >= i {
-                    j += 1;
-                }
-                picks.push(map(i));
-                picks.push(map(j));
-            } else {
-                // Small-d rejection sampling over indices.
-                let mut idxs: [u32; 16] = [u32::MAX; 16];
-                let d = d.min(16) as usize;
-                let mut filled = 0usize;
-                while filled < d {
-                    let i = rng.gen_range(0..cnt);
-                    if !idxs[..filled].contains(&i) {
-                        idxs[filled] = i;
-                        filled += 1;
-                    }
-                }
-                for &i in &idxs[..d] {
-                    picks.push(map(i));
-                }
+    } else if d == 2 {
+        // Exact unordered distinct pair in two draws.
+        let i = rng.gen_range(0..cnt);
+        let mut j = rng.gen_range(0..cnt - 1);
+        if j >= i {
+            j += 1;
+        }
+        picks.push(map(i));
+        picks.push(map(j));
+    } else {
+        // Rejection sampling against the ids drawn so far.
+        while (picks.len() as u32) < d {
+            let v = map(rng.gen_range(0..cnt));
+            if !picks.contains(&v) {
+                picks.push(v);
             }
         }
     }
@@ -508,17 +477,7 @@ mod tests {
         let trials = 4_000 * expect_pool.len();
         let mut counts: HashMap<u32, usize> = HashMap::new();
         for _ in 0..trials {
-            let out = sampler.draw(
-                net,
-                origin,
-                file,
-                r,
-                1,
-                PairMode::Distinct,
-                &mut picks,
-                &mut rng,
-                &NullRecorder,
-            );
+            let out = sampler.draw(net, origin, file, r, 1, &mut picks, &mut rng, &NullRecorder);
             assert_eq!(out, PoolDraw::Drawn);
             assert_eq!(picks.len(), 1);
             *counts.entry(picks[0]).or_insert(0) += 1;
@@ -594,7 +553,6 @@ mod tests {
             file,
             r,
             2,
-            PairMode::Distinct,
             &mut picks,
             &mut rng,
             &NullRecorder,
@@ -617,7 +575,6 @@ mod tests {
             file,
             r,
             2,
-            PairMode::Distinct,
             &mut picks,
             &mut rng,
             &NullRecorder,
@@ -643,7 +600,6 @@ mod tests {
                 file,
                 r,
                 2,
-                PairMode::Distinct,
                 &mut picks,
                 &mut rng,
                 &NullRecorder,
@@ -656,30 +612,35 @@ mod tests {
     }
 
     #[test]
-    fn with_replacement_draws_stay_in_pool() {
-        let net = net(7, 20, 10, 2);
-        let r = 9;
-        let (origin, file) = find_case(&net, r, |cnt, p| (40..181).contains(&cnt) && p >= 4);
-        let expect: std::collections::HashSet<u32> =
-            pool(&net, origin, file, r).into_iter().collect();
-        let mut sampler = PoolSampler::new(SamplerKind::Hybrid);
+    fn index_sampling_draws_more_than_sixteen_distinct_candidates() {
+        // K=2, M=2 on a 10-torus: each file has about 75 replicas, more
+        // than the 40 candidates asked for, and every one must be a
+        // distinct replica holder.
+        let net = net(10, 10, 2, 2);
+        let file = (0..net.k())
+            .max_by_key(|&f| net.placement().replica_count(f))
+            .unwrap();
+        let cnt = net.placement().replica_count(file);
+        assert!(
+            cnt > 40,
+            "test regime needs more than 40 replicas, got {cnt}"
+        );
         let mut picks = Vec::new();
         let mut rng = SmallRng::seed_from_u64(19);
-        for _ in 0..2_000 {
-            let out = sampler.draw(
-                &net,
-                origin,
-                file,
-                r,
-                3,
-                PairMode::WithReplacement,
+        for _ in 0..200 {
+            sample_by_index(
+                cnt,
+                40,
+                |i| net.placement().replica_at(file, i),
                 &mut picks,
                 &mut rng,
-                &NullRecorder,
             );
-            assert_eq!(out, PoolDraw::Drawn);
-            assert_eq!(picks.len(), 3);
-            assert!(picks.iter().all(|v| expect.contains(v)));
+            assert_eq!(picks.len(), 40);
+            let mut distinct = picks.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 40, "repeated candidate in {picks:?}");
+            assert!(picks.iter().all(|&v| net.placement().caches(v, file)));
         }
     }
 
@@ -729,7 +690,6 @@ mod tests {
                             file,
                             r,
                             2,
-                            PairMode::Distinct,
                             &mut picks,
                             &mut rng,
                             &NullRecorder,

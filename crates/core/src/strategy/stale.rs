@@ -75,7 +75,6 @@ impl<T: Topology, S: Strategy<T>> Strategy<T> for StaleLoad<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::UncachedPolicy;
     use crate::simulate::simulate;
     use crate::strategy::ProximityChoice;
     use paba_popularity::Popularity;
@@ -140,7 +139,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let mut loads = vec![0u32; net.n() as usize];
         for _ in 0..300 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let req = Request::sample(&net, &mut rng);
             let a = s.assign(&net, &loads, req, &mut rng);
             assert!(net.placement().caches(a.server, req.file));
             assert_eq!(a.hops, net.topo().dist(req.origin, a.server));

@@ -168,7 +168,7 @@ impl VoronoiCells {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paba_topology::{Grid, Torus};
+    use paba_topology::Torus;
 
     #[test]
     fn single_source_owns_everything() {
@@ -242,17 +242,6 @@ mod tests {
         let sizes = cells.cell_sizes();
         assert_eq!(sizes.len(), 2);
         assert_eq!(sizes.values().sum::<u32>(), 25);
-    }
-
-    #[test]
-    fn works_on_bounded_grid() {
-        let g = Grid::new(6);
-        let mut vc = VoronoiComputer::new(g.n());
-        let cells = vc.compute(&g, &[0, 35]);
-        for v in 0..g.n() {
-            let want = g.dist(0, v).min(g.dist(35, v));
-            assert_eq!(cells.dist[v as usize], want);
-        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   [`HashRing::replica_arcs`] names the key arcs a server replicates;
 //! * [`dht_placement`] — deterministic cache placement for a
 //!   [`paba_core::CacheNetwork`]: each file lands on the `R_j` distinct
-//!   successors of its key, with per-file replication either fixed or
-//!   proportional to popularity (the DHT analogue of the paper's
-//!   proportional placement).
+//!   successors of its key, with per-file replication proportional to
+//!   popularity under a budget of `n·M` copies (the DHT analogue of the
+//!   paper's proportional placement).
 //!
 //! Unlike the paper's i.i.d. placement, DHT placement is *deterministic
 //! given the ring*, reproducible across nodes without coordination, and
@@ -28,5 +28,5 @@
 pub mod placement;
 pub mod ring;
 
-pub use placement::{dht_placement, DhtPlacementConfig, ReplicationRule};
+pub use placement::{dht_placement, DhtPlacementConfig};
 pub use ring::HashRing;

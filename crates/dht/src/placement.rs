@@ -1,27 +1,15 @@
 //! DHT-driven cache placement for a cache network.
 //!
 //! Each file's key is hashed onto the ring and the file is cached at its
-//! `R_j` distinct successor servers. Replication is either uniform
-//! (`R_j = R`) or proportional to popularity — the deterministic analogue
-//! of the paper's proportional placement: `R_j ∝ p_j`, normalized so the
-//! total number of placed copies matches a target slot budget `n·M`.
+//! `R_j` distinct successor servers. Replication is proportional to
+//! popularity — the deterministic analogue of the paper's proportional
+//! placement: `R_j ∝ p_j`, normalized so the total number of placed copies
+//! matches a target slot budget `n·M`. Under uniform popularity every
+//! file gets the same `R = round(n·M/K)` replicas.
 
 use crate::ring::HashRing;
 use paba_core::{Library, Placement};
 use paba_popularity::FileId;
-
-/// How many replicas each file receives.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ReplicationRule {
-    /// Every file gets exactly `r` replicas.
-    Fixed(u32),
-    /// File `j` gets `max(1, round(n·M·p_j))` replicas — proportional to
-    /// popularity under a total budget of `n·M` copies.
-    Proportional {
-        /// Per-server cache size the budget is derived from.
-        m: u32,
-    },
-}
 
 /// Configuration for [`dht_placement`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -30,18 +18,10 @@ pub struct DhtPlacementConfig {
     pub vnodes: u32,
     /// Ring salt (vary per experiment run).
     pub salt: u64,
-    /// Replication rule.
-    pub rule: ReplicationRule,
-}
-
-impl Default for DhtPlacementConfig {
-    fn default() -> Self {
-        Self {
-            vnodes: 128,
-            salt: 0,
-            rule: ReplicationRule::Fixed(3),
-        }
-    }
+    /// Per-server cache size `M`: file `j` gets `max(1, round(n·M·p_j))`
+    /// replicas (at most `n`), proportional to popularity under a total
+    /// budget of `n·M` copies.
+    pub m: u32,
 }
 
 /// Compute a deterministic DHT placement for `n` servers over `library`.
@@ -50,24 +30,13 @@ impl Default for DhtPlacementConfig {
 /// realized* per-node distinct count (so `Placement::m()` reflects the
 /// actual worst-case cache usage, which DHT placement does not bound a
 /// priori the way i.i.d. placement does).
-///
-/// # Panics
-/// If a `Fixed(r)` rule requests more replicas than servers.
 pub fn dht_placement(n: u32, library: &Library, cfg: &DhtPlacementConfig) -> Placement {
     let k = library.k();
     let ring = HashRing::new(n, cfg.vnodes, cfg.salt);
     let mut lists: Vec<Vec<FileId>> = vec![Vec::new(); n as usize];
+    let budget = n as f64 * cfg.m as f64;
     for f in 0..k {
-        let replicas = match cfg.rule {
-            ReplicationRule::Fixed(r) => {
-                assert!(r <= n, "Fixed({r}) replicas exceed {n} servers");
-                r
-            }
-            ReplicationRule::Proportional { m } => {
-                let budget = n as f64 * m as f64;
-                ((budget * library.probability(f)).round() as u32).clamp(1, n)
-            }
-        };
+        let replicas = ((budget * library.probability(f)).round() as u32).clamp(1, n);
         for server in ring.lookup_replicas(f as u64, replicas as usize) {
             lists[server as usize].push(f);
         }
@@ -86,18 +55,19 @@ mod tests {
     }
 
     #[test]
-    fn fixed_rule_gives_exact_replica_counts() {
-        let lib = library(50);
+    fn uniform_popularity_gives_exact_replica_counts() {
+        // n·M/K = 30·8/60 = 4 replicas per file.
+        let lib = library(60);
         let p = dht_placement(
             30,
             &lib,
             &DhtPlacementConfig {
                 vnodes: 64,
                 salt: 3,
-                rule: ReplicationRule::Fixed(4),
+                m: 8,
             },
         );
-        for f in 0..50 {
+        for f in 0..60 {
             assert_eq!(p.replica_count(f), 4, "file {f}");
         }
         assert_eq!(p.uncached_files(), 0);
@@ -109,7 +79,7 @@ mod tests {
         let cfg = DhtPlacementConfig {
             vnodes: 32,
             salt: 9,
-            rule: ReplicationRule::Fixed(3),
+            m: 6,
         };
         let a = dht_placement(20, &lib, &cfg);
         let b = dht_placement(20, &lib, &cfg);
@@ -130,7 +100,7 @@ mod tests {
             &DhtPlacementConfig {
                 vnodes: 64,
                 salt: 1,
-                rule: ReplicationRule::Proportional { m: 2 },
+                m: 2,
             },
         );
         // Most popular file ≈ round(n·M·p_0); every file ≥ 1 replica.
@@ -146,7 +116,7 @@ mod tests {
     #[test]
     fn load_is_spread_across_servers() {
         // With uniform popularity and enough files, per-server cache
-        // occupancy should concentrate around K·R/n.
+        // occupancy should concentrate around K·R/n (R = n·M/K = 3).
         let lib = library(600);
         let n = 60u32;
         let p = dht_placement(
@@ -155,7 +125,7 @@ mod tests {
             &DhtPlacementConfig {
                 vnodes: 128,
                 salt: 5,
-                rule: ReplicationRule::Fixed(3),
+                m: 30,
             },
         );
         let expect = 600.0 * 3.0 / n as f64;
@@ -173,6 +143,7 @@ mod tests {
         use paba_core::{simulate, CacheNetwork, NearestReplica};
         use paba_topology::Torus;
         use rand::SeedableRng;
+        // R = n·M/K = 256·1/64 = 4 replicas per file.
         let lib = library(64);
         let placement = dht_placement(
             256,
@@ -180,7 +151,7 @@ mod tests {
             &DhtPlacementConfig {
                 vnodes: 64,
                 salt: 2,
-                rule: ReplicationRule::Fixed(4),
+                m: 1,
             },
         );
         let net = CacheNetwork::from_parts(Torus::new(16), lib, placement);
@@ -189,20 +160,5 @@ mod tests {
         let rep = simulate(&net, &mut s, 256, &mut rng);
         assert!(rep.check_conservation());
         assert!(rep.max_load() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
-    fn fixed_rule_rejects_oversized_replication() {
-        let lib = library(5);
-        let _ = dht_placement(
-            3,
-            &lib,
-            &DhtPlacementConfig {
-                vnodes: 8,
-                salt: 0,
-                rule: ReplicationRule::Fixed(4),
-            },
-        );
     }
 }

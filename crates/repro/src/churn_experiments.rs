@@ -21,7 +21,7 @@ use crate::artifact::{Gate, Metric};
 use crate::experiments::Z_NONINF;
 use crate::{check_network, too_large, ReproConfig};
 use paba_churn::{simulate_churn, ChurnCfg, ChurnSchedule, RepairPolicy, ScheduleSpec};
-use paba_core::{simulate_source, CacheNetwork, IidUniform, ProximityChoice, UncachedPolicy};
+use paba_core::{simulate_source, CacheNetwork, IidUniform, ProximityChoice};
 use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
 use paba_popularity::Popularity;
 use paba_telemetry::{NullRecorder, Recorder};
@@ -194,7 +194,7 @@ fn run_one<R: Recorder>(
     // its network build, before the schedule allocates n-entry vectors.
     let sim_static = arm(net_seed, regime, |net, _| {
         let mut strategy = ProximityChoice::two_choice(Some(regime.radius));
-        let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source = IidUniform::new();
         let mut run_rng = SmallRng::seed_from_u64(run_seed);
         let rep = simulate_source(net, &mut strategy, &mut source, requests, &mut run_rng);
         let mut o = [0.0; N_METRICS];
@@ -223,7 +223,7 @@ fn run_one<R: Recorder>(
             ..ChurnCfg::default()
         };
         let mut strategy = ProximityChoice::two_choice(Some(regime.radius));
-        let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source = IidUniform::new();
         let mut run_rng = SmallRng::seed_from_u64(run_seed);
         let (sim, churn) = simulate_churn(
             net,
@@ -259,7 +259,7 @@ fn run_one<R: Recorder>(
             ..ChurnCfg::default()
         };
         let mut strategy = ProximityChoice::two_choice(Some(regime.radius));
-        let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source = IidUniform::new();
         let mut run_rng = SmallRng::seed_from_u64(run_seed);
         let (sim, churn) = simulate_churn(
             net,

@@ -19,9 +19,8 @@
 use crate::artifact::{Gate, Metric};
 use crate::ReproConfig;
 use paba_core::{
-    build_config_graph, simulate, CacheNetwork, ConfigGraphMethod, GoodnessReport,
-    LeastLoadedInBall, NearestReplica, ProximityChoice, Request, SimReport, UncachedPolicy,
-    VoronoiComputer,
+    build_config_graph, simulate, CacheNetwork, GoodnessReport, LeastLoadedInBall, NearestReplica,
+    ProximityChoice, Request, SimReport, VoronoiComputer,
 };
 use paba_mcrunner::{run_parallel, summarize, sweep_summaries, PointSummary};
 use paba_popularity::Popularity;
@@ -979,7 +978,7 @@ pub fn edge_sampling(
                 .library(n, Popularity::Uniform)
                 .cache_size(m)
                 .build(rng);
-            let edges = build_config_graph(&net, Some(r), ConfigGraphMethod::Auto).m();
+            let edges = build_config_graph(&net, Some(r)).m();
             let Arm::TwoChoice(radius) = (inject.arm)(Arm::TwoChoice(Some(r))) else {
                 panic!("Lemma 3 samples Strategy II's candidate pairs");
             };
@@ -987,7 +986,7 @@ pub fn edge_sampling(
             let mut counts: FxHashMap<(u32, u32), u32> = FxHashMap::default();
             let mut drawn = 0u64;
             for _ in 0..EDGE_SAMPLES {
-                let req = Request::sample(&net, UncachedPolicy::ResampleFile, rng);
+                let req = Request::sample(&net, rng);
                 if let Some((a, b)) = strategy.sample_pair(&net, req.origin, req.file, rng) {
                     *counts.entry((a.min(b), a.max(b))).or_insert(0) += 1;
                     drawn += 1;

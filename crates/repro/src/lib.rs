@@ -305,17 +305,36 @@ mod tests {
             .unwrap()
     }
 
+    /// The quick repro suite at 12 runs and the default seed, run once per
+    /// test binary and shared by the tests that read it.
+    fn quick_repro() -> &'static Artifact {
+        static ARTIFACT: std::sync::OnceLock<Artifact> = std::sync::OnceLock::new();
+        ARTIFACT.get_or_init(|| {
+            let mut cfg = ReproConfig::new(Scale::Quick);
+            // Trim runs for test wall-clock; gates are designed to clear
+            // their thresholds with margin even at reduced replication.
+            cfg.runs_override = Some(12);
+            Suite::Repro.run(&cfg, None).unwrap()
+        })
+    }
+
+    /// The quick queueing suite at 2 runs, shared like [`quick_repro`].
+    fn quick_queueing_two_runs() -> &'static Artifact {
+        static ARTIFACT: std::sync::OnceLock<Artifact> = std::sync::OnceLock::new();
+        ARTIFACT.get_or_init(|| {
+            let mut cfg = ReproConfig::new(Scale::Quick);
+            cfg.runs_override = Some(2);
+            queueing(&cfg)
+        })
+    }
+
     /// The quick suite itself, end to end: every gate must pass, the
     /// artifact must round-trip, and a self-check against its own output
     /// must be clean. This is the crate's own tier-1 anchor; CI's
     /// `suite-smoke` job additionally diffs against the committed golden.
     #[test]
     fn quick_suite_passes_and_round_trips() {
-        let mut cfg = ReproConfig::new(Scale::Quick);
-        // Trim runs for test wall-clock; gates are designed to clear
-        // their thresholds with margin even at reduced replication.
-        cfg.runs_override = Some(12);
-        let a = Suite::Repro.run(&cfg, None).unwrap();
+        let a = quick_repro();
         for g in &a.gates {
             assert!(
                 g.passed,
@@ -335,12 +354,12 @@ mod tests {
         let round = Artifact::from_json(&a.to_json()).unwrap();
         assert_eq!(round.to_json(), a.to_json());
 
-        let rep = check(&a, &round, DEFAULT_CHECK_Z).unwrap();
+        let rep = check(a, &round, DEFAULT_CHECK_Z).unwrap();
         assert!(rep.ok());
         assert_eq!(rep.worst_z, 0.0);
 
         // Tables render without panicking and carry every gate.
-        assert_eq!(gates_table(&a).to_csv().lines().count(), a.gates.len() + 1);
+        assert_eq!(gates_table(a).to_csv().lines().count(), a.gates.len() + 1);
         let _ = check_table(&rep).to_markdown();
     }
 
@@ -464,7 +483,7 @@ mod tests {
         // stream through it, so the artifact must be bit-identical.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
-        let plain = queueing(&cfg);
+        let plain = quick_queueing_two_runs();
         let live = paba_mcrunner::LiveRun::new(2);
         let observed = Suite::Queueing(QueueingParams::default())
             .run(&cfg, Some(&live))
@@ -481,7 +500,7 @@ mod tests {
             ..Default::default()
         };
         let a = Suite::Queueing(hotter).run(&cfg, None).unwrap();
-        let b = queueing(&cfg);
+        let b = quick_queueing_two_runs();
         // Same metric ids — the artifacts stay comparable — but the
         // hotter system queues measurably deeper.
         assert_eq!(
@@ -496,7 +515,7 @@ mod tests {
                 .expect("metric present")
                 .mean
         };
-        assert!(p99(&a) > p99(&b));
+        assert!(p99(&a) > p99(b));
     }
 
     #[test]
@@ -514,12 +533,12 @@ mod tests {
     fn different_seeds_move_metrics_within_noise() {
         // The whole premise of --check: an RNG reshuffle (here: a
         // different master seed) must pass the statistical diff.
+        let a = quick_repro();
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(12);
-        let a = Suite::Repro.run(&cfg, None).unwrap();
         cfg.seed = cfg.seed.wrapping_add(1);
         let b = Suite::Repro.run(&cfg, None).unwrap();
-        let rep = check(&b, &a, DEFAULT_CHECK_Z).unwrap();
+        let rep = check(&b, a, DEFAULT_CHECK_Z).unwrap();
         assert!(
             rep.ok(),
             "seed change must read as noise: {:?}",

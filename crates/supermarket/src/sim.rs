@@ -40,7 +40,7 @@ use crate::event::DepartureTree;
 use crate::report::QueueReport;
 use crate::sojourn::SojournHistogram;
 use crate::state::{JobQueues, Occupancy};
-use paba_core::{CacheNetwork, IidUniform, RequestSource, Strategy, UncachedPolicy};
+use paba_core::{CacheNetwork, IidUniform, RequestSource, Strategy};
 use paba_telemetry::LoadSeries;
 use paba_topology::Topology;
 use rand::Rng;
@@ -157,7 +157,7 @@ where
     S: Strategy<T>,
     R: Rng + ?Sized,
 {
-    let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+    let mut source = IidUniform::new();
     simulate_queueing_source(net, strategy, &mut source, cfg, rng)
 }
 
@@ -740,7 +740,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(15);
         let legacy = simulate_queueing(&net, &mut strat, &cfg, &mut rng);
         let mut strat = ProximityChoice::two_choice(Some(3));
-        let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+        let mut source = IidUniform::new();
         let mut rng = SmallRng::seed_from_u64(15);
         let sourced = simulate_queueing_source(&net, &mut strat, &mut source, &cfg, &mut rng);
         assert_eq!(legacy, sourced);

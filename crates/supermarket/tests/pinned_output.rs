@@ -10,7 +10,7 @@
 //! re-summed every queue length on every event, so they hold any faster
 //! engine to that engine's RNG stream and measurement window.
 
-use paba_core::{CacheNetwork, IidUniform, ProximityChoice, StaleLoad, Strategy, UncachedPolicy};
+use paba_core::{CacheNetwork, IidUniform, ProximityChoice, StaleLoad, Strategy};
 use paba_popularity::Popularity;
 use paba_supermarket::{simulate_queueing_source, QueueReport, QueueSimConfig};
 use paba_topology::Torus;
@@ -67,7 +67,7 @@ fn run<S: Strategy<Torus>>(
     cfg: &QueueSimConfig,
     rng: &mut SmallRng,
 ) -> QueueReport {
-    let mut source = IidUniform::with_policy(UncachedPolicy::ResampleFile);
+    let mut source = IidUniform::new();
     simulate_queueing_source(net, &mut strategy, &mut source, cfg, rng)
 }
 

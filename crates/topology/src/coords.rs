@@ -1,4 +1,4 @@
-//! Coordinate helpers shared by the torus and grid topologies.
+//! Coordinate helpers of the torus topology.
 
 /// A 2D lattice coordinate `(x, y)` with `0 ≤ x, y < side`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

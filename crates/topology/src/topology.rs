@@ -2,8 +2,8 @@
 //! strategies are generic over.
 //!
 //! Strategy code in `paba-core` only needs distances, neighborhood
-//! enumeration, and uniform in-ball sampling, so both [`crate::Torus`]
-//! (the paper's model) and [`crate::Grid`] (Remark 1 ablation) plug in.
+//! enumeration, and uniform in-ball sampling; [`crate::Torus`] (the
+//! paper's model) implements them.
 
 use crate::coords::Coord;
 use crate::NodeId;
@@ -149,77 +149,10 @@ impl Topology for crate::Torus {
     }
 }
 
-impl Topology for crate::Grid {
-    #[inline]
-    fn n(&self) -> u32 {
-        self.n()
-    }
-
-    #[inline]
-    fn side(&self) -> u32 {
-        self.side()
-    }
-
-    #[inline]
-    fn dist(&self, a: NodeId, b: NodeId) -> u32 {
-        self.dist(a, b)
-    }
-
-    #[inline]
-    fn coord_of(&self, v: NodeId) -> Coord {
-        self.coord(v)
-    }
-
-    #[inline]
-    fn dist_from(&self, from: Coord, v: NodeId) -> u32 {
-        self.dist_from(from, v)
-    }
-
-    #[inline]
-    fn diameter(&self) -> u32 {
-        self.diameter()
-    }
-
-    #[inline]
-    fn ball_size_at(&self, u: NodeId, r: u32) -> u64 {
-        self.ball_size_at(u, r)
-    }
-
-    #[inline]
-    fn for_each_in_ball<F: FnMut(NodeId)>(&self, u: NodeId, r: u32, f: F) {
-        self.for_each_in_ball(u, r, f)
-    }
-
-    #[inline]
-    fn for_each_ball_id_range<F: FnMut(NodeId, NodeId)>(&self, u: NodeId, r: u32, f: F) {
-        self.for_each_ball_id_range(u, r, f)
-    }
-
-    #[inline]
-    fn row_band(&self, from: Coord, w: u32) -> [Option<(NodeId, NodeId)>; 2] {
-        self.row_band(from, w)
-    }
-
-    #[inline]
-    fn for_each_at_distance<F: FnMut(NodeId)>(&self, u: NodeId, d: u32, f: F) {
-        self.for_each_at_distance(u, d, f)
-    }
-
-    #[inline]
-    fn sample_in_ball<R: Rng + ?Sized>(&self, u: NodeId, r: u32, rng: &mut R) -> NodeId {
-        self.sample_in_ball(u, r, rng)
-    }
-
-    #[inline]
-    fn sample_in_ball_from<R: Rng + ?Sized>(&self, from: Coord, r: u32, rng: &mut R) -> NodeId {
-        self.sample_in_ball_from(from, r, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Grid, Torus};
+    use crate::Torus;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -280,24 +213,5 @@ mod tests {
     fn torus_satisfies_trait_contract() {
         check_consistency(&Torus::new(7));
         check_consistency(&Torus::new(4));
-    }
-
-    #[test]
-    fn grid_satisfies_trait_contract() {
-        check_consistency(&Grid::new(7));
-        check_consistency(&Grid::new(4));
-    }
-
-    #[test]
-    fn generic_function_compiles_over_both() {
-        fn mean_deg<T: Topology>(t: &T) -> f64 {
-            let mut total = 0u64;
-            for u in 0..t.n() {
-                total += t.ball_size_at(u, 1) - 1;
-            }
-            total as f64 / t.n() as f64
-        }
-        assert_eq!(mean_deg(&Torus::new(5)), 4.0);
-        assert!(mean_deg(&Grid::new(5)) < 4.0); // boundary nodes lose edges
     }
 }

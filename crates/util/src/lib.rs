@@ -11,8 +11,8 @@
 //! * [`histogram`] — fixed-bucket integer histograms that merge cheaply.
 //! * [`linreg`] — least-squares fits (incl. log–log scaling exponents).
 //! * [`table`] — Markdown / CSV table emitters behind every CLI table.
-//! * [`envcfg`] — the shared run defaults: master seed, suite [`envcfg::Scale`]
-//!   and the `PABA_TEST_RUNS` knob of the statistical tests.
+//! * [`envcfg`] — the shared run defaults: master seed and suite
+//!   [`envcfg::Scale`].
 //! * [`json`] — the two shared JSON emission helpers (`escape`, `num`)
 //!   behind every hand-rolled artifact writer, and the reader
 //!   (`parse` → `Json`) behind every artifact check.

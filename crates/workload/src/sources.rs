@@ -13,7 +13,7 @@
 //!   rank→file assignment rotates every epoch, modelling daily topic
 //!   churn under a stable popularity *shape*.
 
-use paba_core::{apply_uncached_policy, CacheNetwork, Request, RequestSource, UncachedPolicy};
+use paba_core::{apply_uncached_policy, CacheNetwork, Request, RequestSource};
 use paba_popularity::{AliasTable, FileId};
 use paba_topology::{NodeId, Topology};
 use paba_util::SplitMix64;
@@ -24,13 +24,12 @@ use rand::Rng;
 /// With probability `fraction` the origin is drawn uniformly from the
 /// radius-`radius` ball of a uniformly chosen center; otherwise it is
 /// uniform over all `n` servers (the baseline). Files follow the library
-/// profile under the configured [`UncachedPolicy`].
+/// profile, uncached draws redrawn from the cached sub-library.
 #[derive(Clone, Debug)]
 pub struct HotspotOrigins {
     centers: Vec<NodeId>,
     radius: u32,
     fraction: f64,
-    policy: UncachedPolicy,
 }
 
 impl HotspotOrigins {
@@ -48,7 +47,6 @@ impl HotspotOrigins {
             centers,
             radius,
             fraction,
-            policy: UncachedPolicy::default(),
         }
     }
 
@@ -70,12 +68,6 @@ impl HotspotOrigins {
         Self::new(centers, radius, fraction)
     }
 
-    /// Override the uncached-file policy (default: resample).
-    pub fn with_policy(mut self, policy: UncachedPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The hotspot centers.
     pub fn centers(&self) -> &[NodeId] {
         &self.centers
@@ -91,7 +83,7 @@ impl<T: Topology> RequestSource<T> for HotspotOrigins {
             rng.gen_range(0..net.n())
         };
         let file = net.library().sample_file(rng);
-        let file = apply_uncached_policy(net, file, self.policy, rng);
+        let file = apply_uncached_policy(net, file, rng);
         Request { origin, file }
     }
 
@@ -106,7 +98,6 @@ impl<T: Topology> RequestSource<T> for HotspotOrigins {
 #[derive(Clone, Debug)]
 pub struct ZipfOrigins {
     gamma: f64,
-    policy: UncachedPolicy,
     table: Option<(u32, AliasTable)>,
 }
 
@@ -117,17 +108,7 @@ impl ZipfOrigins {
     /// If `gamma` is negative or non-finite.
     pub fn new(gamma: f64) -> Self {
         assert!(gamma.is_finite() && gamma >= 0.0, "gamma must be ≥ 0");
-        Self {
-            gamma,
-            policy: UncachedPolicy::default(),
-            table: None,
-        }
-    }
-
-    /// Override the uncached-file policy (default: resample).
-    pub fn with_policy(mut self, policy: UncachedPolicy) -> Self {
-        self.policy = policy;
-        self
+        Self { gamma, table: None }
     }
 }
 
@@ -146,7 +127,7 @@ impl<T: Topology> RequestSource<T> for ZipfOrigins {
             self.table.as_ref().expect("built above").1.sample(rng)
         };
         let file = net.library().sample_file(rng);
-        let file = apply_uncached_policy(net, file, self.policy, rng);
+        let file = apply_uncached_policy(net, file, rng);
         Request { origin, file }
     }
 
@@ -163,8 +144,8 @@ impl<T: Topology> RequestSource<T> for ZipfOrigins {
 /// weight `w`, the hot file's effective popularity is the exactly
 /// renormalized `b·w / (1 − w + b·w)`.
 ///
-/// Caveat: the boost applies *before* the [`UncachedPolicy`]. Under the
-/// default `ResampleFile`, a hot file with **zero replicas** in the
+/// Caveat: the boost applies *before* uncached draws are redrawn from
+/// the cached sub-library, so a hot file with **zero replicas** in the
 /// sampled placement has every boosted draw resampled away, degrading
 /// the stream to the base profile over cached files. Pick a popular
 /// (low-id) `hot_file` or a placement that covers it — unpopular files
@@ -176,7 +157,6 @@ pub struct FlashCrowd {
     duration: u64,
     boost: f64,
     tau: f64,
-    policy: UncachedPolicy,
     t: u64,
 }
 
@@ -196,15 +176,8 @@ impl FlashCrowd {
             duration,
             boost,
             tau,
-            policy: UncachedPolicy::default(),
             t: 0,
         }
-    }
-
-    /// Override the uncached-file policy (default: resample).
-    pub fn with_policy(mut self, policy: UncachedPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// The boosted file.
@@ -248,7 +221,7 @@ impl<T: Topology> RequestSource<T> for FlashCrowd {
         } else {
             net.library().sample_file(rng)
         };
-        let file = apply_uncached_policy(net, file, self.policy, rng);
+        let file = apply_uncached_policy(net, file, rng);
         Request { origin, file }
     }
 
@@ -264,7 +237,6 @@ impl<T: Topology> RequestSource<T> for FlashCrowd {
 pub struct ShiftingPopularity {
     epoch: u64,
     step: u32,
-    policy: UncachedPolicy,
     t: u64,
 }
 
@@ -275,18 +247,7 @@ impl ShiftingPopularity {
     /// If `epoch == 0`.
     pub fn new(epoch: u64, step: u32) -> Self {
         assert!(epoch > 0, "epoch must be positive");
-        Self {
-            epoch,
-            step,
-            policy: UncachedPolicy::default(),
-            t: 0,
-        }
-    }
-
-    /// Override the uncached-file policy (default: resample).
-    pub fn with_policy(mut self, policy: UncachedPolicy) -> Self {
-        self.policy = policy;
-        self
+        Self { epoch, step, t: 0 }
     }
 
     /// The file currently occupying popularity rank `rank` (at internal
@@ -303,7 +264,7 @@ impl<T: Topology> RequestSource<T> for ShiftingPopularity {
         let rank = net.library().sample_file(rng);
         let file = self.file_at_rank(rank, net.k());
         self.t += 1;
-        let file = apply_uncached_policy(net, file, self.policy, rng);
+        let file = apply_uncached_policy(net, file, rng);
         Request { origin, file }
     }
 

@@ -4,7 +4,7 @@
 
 use crate::sources::{FlashCrowd, HotspotOrigins, ShiftingPopularity, ZipfOrigins};
 use crate::trace::{Trace, TraceReplay};
-use paba_core::{CacheNetwork, IidUniform, Request, RequestSource, UncachedPolicy};
+use paba_core::{CacheNetwork, IidUniform, Request, RequestSource};
 use paba_popularity::FileId;
 use paba_topology::Topology;
 use rand::Rng;
@@ -126,40 +126,42 @@ impl WorkloadSpec {
                     return Err("shifting epoch must be positive".into());
                 }
             }
-            WorkloadSpec::Replay { ref trace, .. } => {
+            WorkloadSpec::Replay { ref trace, cycle } => {
                 if trace.n != n || trace.k != k {
                     return Err(format!(
                         "trace shape (n={}, k={}) does not match network (n={n}, k={k})",
                         trace.n, trace.k
                     ));
                 }
+                if cycle && trace.is_empty() {
+                    return Err("cannot cycle a trace with no records".into());
+                }
             }
         }
         Ok(())
     }
 
-    /// Instantiate a fresh source for one run against `net`, under
-    /// `policy` (ignored by trace replay — the trace already fixed its
-    /// requests).
-    pub fn build<T: Topology>(
-        &self,
-        net: &CacheNetwork<T>,
-        policy: UncachedPolicy,
-    ) -> Result<WorkloadSource, String> {
+    /// Instantiate a fresh source for one run against `net`. Synthetic
+    /// sources redraw uncached files from the cached sub-library; trace
+    /// replay hands over its recorded files as they are.
+    pub fn build<T: Topology>(&self, net: &CacheNetwork<T>) -> Result<WorkloadSource, String> {
         self.validate(net.n(), net.k())?;
         Ok(match *self {
-            WorkloadSpec::Iid => WorkloadSource::Iid(IidUniform::with_policy(policy)),
+            WorkloadSpec::Iid => WorkloadSource::Iid(IidUniform::new()),
             WorkloadSpec::Hotspot {
                 hotspots,
                 radius,
                 fraction,
                 seed,
-            } => WorkloadSource::Hotspot(
-                HotspotOrigins::seeded(hotspots, radius, fraction, net.n(), seed)
-                    .with_policy(policy),
-            ),
+            } => WorkloadSource::Hotspot(HotspotOrigins::seeded(
+                hotspots,
+                radius,
+                fraction,
+                net.n(),
+                seed,
+            )),
             WorkloadSpec::ZipfOrigins { gamma } => {
-                WorkloadSource::ZipfOrigins(ZipfOrigins::new(gamma).with_policy(policy))
+                WorkloadSource::ZipfOrigins(ZipfOrigins::new(gamma))
             }
             WorkloadSpec::FlashCrowd {
                 file,
@@ -167,11 +169,9 @@ impl WorkloadSpec {
                 duration,
                 boost,
                 tau,
-            } => WorkloadSource::FlashCrowd(
-                FlashCrowd::new(file, start, duration, boost, tau).with_policy(policy),
-            ),
+            } => WorkloadSource::FlashCrowd(FlashCrowd::new(file, start, duration, boost, tau)),
             WorkloadSpec::Shifting { epoch, step } => {
-                WorkloadSource::Shifting(ShiftingPopularity::new(epoch, step).with_policy(policy))
+                WorkloadSource::Shifting(ShiftingPopularity::new(epoch, step))
             }
             WorkloadSpec::Replay { ref trace, cycle } => WorkloadSource::Replay(if cycle {
                 TraceReplay::cycling(trace.clone())
@@ -276,7 +276,7 @@ mod tests {
         ];
         for spec in specs {
             let mut src = spec
-                .build(&net, UncachedPolicy::ResampleFile)
+                .build(&net)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
             let mut s = NearestReplica::new();
             let mut rng = SmallRng::seed_from_u64(2);
@@ -294,9 +294,7 @@ mod tests {
         let mut s1 = NearestReplica::new();
         let mut s2 = NearestReplica::new();
         let legacy = paba_core::simulate(&net, &mut s1, 400, &mut a);
-        let mut src = WorkloadSpec::Iid
-            .build(&net, UncachedPolicy::ResampleFile)
-            .unwrap();
+        let mut src = WorkloadSpec::Iid.build(&net).unwrap();
         let sourced = simulate_source(&net, &mut s2, &mut src, 400, &mut b);
         assert_eq!(legacy, sourced);
     }
@@ -335,10 +333,7 @@ mod tests {
             WorkloadSpec::ZipfOrigins { gamma: -1.0 },
         ];
         for spec in bad {
-            assert!(
-                spec.build(&net, UncachedPolicy::ResampleFile).is_err(),
-                "{spec:?} should fail validation"
-            );
+            assert!(spec.build(&net).is_err(), "{spec:?} should fail validation");
         }
     }
 
@@ -354,7 +349,7 @@ mod tests {
             trace: trace.clone(),
             cycle: false
         }
-        .build(&net, UncachedPolicy::ResampleFile)
+        .build(&net)
         .is_ok());
         let small = {
             let mut rng = SmallRng::seed_from_u64(1);
@@ -368,7 +363,21 @@ mod tests {
             trace,
             cycle: false
         }
-        .build(&small, UncachedPolicy::ResampleFile)
+        .build(&small)
         .is_err());
+        // Cycling no records would never yield a request.
+        let empty = Arc::new(Trace::new(net.n(), net.k()));
+        assert!(WorkloadSpec::Replay {
+            trace: empty.clone(),
+            cycle: true
+        }
+        .build(&net)
+        .is_err());
+        assert!(WorkloadSpec::Replay {
+            trace: empty,
+            cycle: false
+        }
+        .build(&net)
+        .is_ok());
     }
 }

@@ -19,7 +19,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `paba-core` | cache network, strategies, Voronoi, configuration graph, goodness |
-//! | [`topology`] | `paba-topology` | torus/grid metric, balls, rings, CSR graphs |
+//! | [`topology`] | `paba-topology` | torus metric, balls, rings, CSR graphs |
 //! | [`popularity`] | `paba-popularity` | Uniform/Zipf profiles, alias sampling |
 //! | [`ballsbins`] | `paba-ballsbins` | one/two/d-choice, graph-based two-choice baselines |
 //! | [`theory`] | `paba-theory` | the paper's closed-form predictions |
@@ -80,8 +80,7 @@ pub use paba_workload as workload;
 pub mod prelude {
     pub use paba_core::prelude::*;
     pub use paba_core::{
-        build_config_graph, ConfigGraphMethod, GoodnessReport, ProximityChoice, SimReport,
-        UncachedPolicy, VoronoiComputer,
+        build_config_graph, GoodnessReport, ProximityChoice, SimReport, VoronoiComputer,
     };
     pub use paba_popularity::Popularity;
     pub use paba_supermarket::{

@@ -114,7 +114,7 @@ fn trace_round_trip_reproduces_stream_and_report_for_every_source() {
         // Generate + record the stream with a dedicated generator RNG.
         let mut gen_rng = SmallRng::seed_from_u64(1234);
         let mut rec = TraceRecorder::new(
-            spec.build(&net, UncachedPolicy::ResampleFile)
+            spec.build(&net)
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name())),
         );
         for _ in 0..requests {

@@ -6,7 +6,7 @@
 //! range mirrors the original proptest suite.
 
 use paba::core::metrics::FallbackKind;
-use paba::core::{PairMode, RadiusFallback, Request, Strategy};
+use paba::core::{Request, Strategy};
 use paba::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +26,7 @@ fn check_invariants<S: Strategy<Torus>>(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut loads = vec![0u32; net.n() as usize];
     for _ in 0..200 {
-        let req = Request::sample(net, UncachedPolicy::ResampleFile, &mut rng);
+        let req = Request::sample(net, &mut rng);
         let a = strategy.assign(net, &loads, req, &mut rng);
         // 1. hops is the true distance.
         assert_eq!(a.hops, net.topo().dist(req.origin, a.server));
@@ -101,7 +101,7 @@ fn proximity_unbounded_invariants() {
             .library(k, Popularity::zipf(0.8))
             .cache_size(m)
             .build(&mut rng);
-        let mut s = ProximityChoice::two_choice(None).pair_mode(PairMode::WithReplacement);
+        let mut s = ProximityChoice::two_choice(None);
         check_invariants(&net, &mut s, None, seed ^ 0xf00d);
     }
 }
@@ -122,7 +122,7 @@ fn nearest_is_actually_nearest() {
         let mut s = NearestReplica::new();
         let loads = vec![0u32; net.n() as usize];
         for _ in 0..50 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
+            let req = Request::sample(&net, &mut rng);
             let a = s.assign(&net, &loads, req, &mut rng);
             for v in 0..net.n() {
                 if net.placement().caches(v, req.file) {
@@ -131,33 +131,6 @@ fn nearest_is_actually_nearest() {
                         "found closer replica {v}"
                     );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn serve_at_origin_fallback_never_travels() {
-    // Sparse placement + tiny radius + ServeAtOrigin: every declared
-    // empty-ball fallback must stay at the origin with 0 hops.
-    for mut case in cases(0xA5, 24) {
-        let side = case.gen_range(4u32..9);
-        let seed = case.gen_range(0u64..500);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let net = CacheNetwork::builder()
-            .torus_side(side)
-            .library(200, Popularity::Uniform)
-            .cache_size(1)
-            .build(&mut rng);
-        let mut s =
-            ProximityChoice::two_choice(Some(1)).radius_fallback(RadiusFallback::ServeAtOrigin);
-        let loads = vec![0u32; net.n() as usize];
-        for _ in 0..100 {
-            let req = Request::sample(&net, UncachedPolicy::ResampleFile, &mut rng);
-            let a = s.assign(&net, &loads, req, &mut rng);
-            if a.fallback == Some(FallbackKind::NoCandidateInBall) {
-                assert_eq!(a.server, req.origin);
-                assert_eq!(a.hops, 0);
             }
         }
     }

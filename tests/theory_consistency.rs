@@ -3,7 +3,6 @@
 
 use paba::prelude::*;
 use paba::theory;
-use paba::util::envcfg::test_runs;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -26,7 +25,7 @@ fn mean_cost_nearest(side: u32, k: u32, m: u32, pop: &Popularity, runs: u64) -> 
 fn uniform_cost_scales_like_sqrt_k_over_m() {
     // Theorem 3: C = Θ(√(K/M)). The ratio between (K,M) pairs with a 4×
     // different K/M must be ≈ 2.
-    let runs = test_runs(10);
+    let runs = 10;
     let c_base = mean_cost_nearest(45, 200, 8, &Popularity::Uniform, runs);
     let c_4x = mean_cost_nearest(45, 800, 8, &Popularity::Uniform, runs);
     let ratio = c_4x / c_base;
@@ -43,7 +42,7 @@ fn measured_cost_proportional_to_exact_series() {
     let configs = [(100u32, 2u32), (400, 4), (900, 3), (1600, 8)];
     let mut ratios = Vec::new();
     for &(k, m) in &configs {
-        let measured = mean_cost_nearest(45, k, m, &Popularity::Uniform, test_runs(8));
+        let measured = mean_cost_nearest(45, k, m, &Popularity::Uniform, 8);
         let weights = vec![1.0 / k as f64; k as usize];
         let series = theory::nearest_cost_series(&weights, m);
         ratios.push(measured / series);
@@ -61,7 +60,7 @@ fn measured_cost_proportional_to_exact_series() {
 fn zipf_saturated_regime_cost_independent_of_k() {
     // γ = 2.5 (Saturated): quadrupling K must not move the cost much.
     let pop = Popularity::zipf(2.5);
-    let runs = test_runs(10);
+    let runs = 10;
     let c1 = mean_cost_nearest(45, 400, 4, &pop, runs);
     let c2 = mean_cost_nearest(45, 1600, 4, &pop, runs);
     assert!(
@@ -77,7 +76,7 @@ fn goodness_parameters_hold_in_lemma2_regime() {
     let n = side * side;
     let alpha = 0.25f64;
     let m = (n as f64).powf(alpha).round() as u32;
-    for seed in 0..test_runs(5) {
+    for seed in 0..5 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let net = CacheNetwork::builder()
             .torus_side(side)
@@ -96,7 +95,7 @@ fn goodness_parameters_hold_in_lemma2_regime() {
 
 #[test]
 fn config_graph_degree_matches_lemma3_prediction() {
-    use paba::core::{build_config_graph, ConfigGraphMethod};
+    use paba::core::build_config_graph;
     let side = 32u32;
     let n = side * side;
     let (m, r) = (23u32, 6u32);
@@ -106,7 +105,7 @@ fn config_graph_degree_matches_lemma3_prediction() {
         .library(n, Popularity::Uniform)
         .cache_size(m)
         .build(&mut rng);
-    let h = build_config_graph(&net, Some(r), ConfigGraphMethod::Auto);
+    let h = build_config_graph(&net, Some(r));
     let b2r = Torus::new(side).ball_size(2 * r) as f64 - 1.0;
     let p_share = 1.0 - (1.0 - m as f64 / n as f64).powi(m as i32);
     let predict = b2r * p_share;

@@ -1,13 +1,13 @@
 //! Property-based topology validation across the whole supported parameter
 //! space — metric axioms, ball/ring/brute-force agreement, and Voronoi
-//! consistency, on both the torus and the bounded grid.
+//! consistency, on the torus.
 //!
 //! Implemented as seeded exhaustive-ish sweeps (no external property
 //! framework is available in this build environment); every property and
 //! parameter range mirrors the original proptest suite.
 
 use paba::core::VoronoiComputer;
-use paba::topology::{Grid, Torus};
+use paba::topology::Torus;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,34 +68,6 @@ fn torus_ring_partitions_ball() {
         let mut ball = t.ball_nodes(u, r);
         ball.sort_unstable();
         assert_eq!(from_rings, ball, "side={side} u={u} r={r}");
-    }
-}
-
-#[test]
-fn grid_ball_is_exact() {
-    for mut rng in cases(4, 48) {
-        let side = rng.gen_range(1u32..12);
-        let g = Grid::new(side);
-        let u = rng.gen_range(0..144u32) % g.n();
-        let r = rng.gen_range(0u32..30);
-        let mut got = g.ball_nodes(u, r);
-        got.sort_unstable();
-        let expect: Vec<u32> = (0..g.n()).filter(|&v| g.dist(u, v) <= r).collect();
-        assert_eq!(got, expect, "side={side} u={u} r={r}");
-        assert_eq!(g.ball_size_at(u, r), expect.len() as u64);
-    }
-}
-
-#[test]
-fn grid_dominated_by_torus_distance() {
-    // Wrapping can only shorten paths.
-    for mut rng in cases(5, 48) {
-        let side = rng.gen_range(2u32..12);
-        let g = Grid::new(side);
-        let t = Torus::new(side);
-        let a = rng.gen_range(0..144u32) % g.n();
-        let b = rng.gen_range(0..144u32) % g.n();
-        assert!(t.dist(a, b) <= g.dist(a, b), "side={side} a={a} b={b}");
     }
 }
 

@@ -14,7 +14,6 @@
 
 use paba::core::{
     simulate_source_profiled, CacheNetwork, IidUniform, PlacementPolicy, ProximityChoice,
-    UncachedPolicy,
 };
 use paba::mcrunner::{run_parallel_traced, run_parallel_with_state};
 use paba::popularity::Popularity;
@@ -42,7 +41,7 @@ fn sim_run(rec: &TraceRecorder, rng: &mut SmallRng) -> (u32, f64) {
         .build(rng);
     let mut s = ProximityChoice::with_choices(Some(3), 2).with_recorder(rec);
     let mut source = WorkloadSpec::Iid
-        .build(&net, UncachedPolicy::ResampleFile)
+        .build(&net)
         .expect("IID workload fits any network");
     let report = simulate_source_profiled(&net, &mut s, &mut source, net.n() as u64, rng, &rec);
     (report.max_load(), report.comm_cost())
