@@ -3,30 +3,32 @@
 //!
 //! [`simulate_churn`] interleaves a [`ChurnSchedule`] with the standard
 //! sequential request loop. Membership lives in one `alive` bitmap (who
-//! can serve right now). The [`HashRing`] (who *should* hold what — the
-//! minimal-disruption directory that drives graceful handoff and
-//! join-time refill) is built once for every node and read through that
-//! bitmap, so an event never rebuilds it:
+//! can serve right now). Who *should* hold what — the minimal-disruption
+//! directory that drives graceful handoff and join-time refill — is a
+//! [`SuccessorDirectory`]: every file's first `4R` distinct successors on
+//! one consistent-hash ring over every node, built once and read through
+//! that bitmap, so an event never rebuilds a ring:
 //!
-//! * leave handoff walks a file's live successors
-//!   ([`HashRing::lookup_replicas_where`]);
-//! * join refill takes the joiner's ring arcs
-//!   ([`HashRing::replica_arcs`]) and reads the files whose keys fall in
-//!   them off a position-sorted file-key index built in
-//!   [`ChurnEngine::new`].
+//! * a crash, leave or join adjusts the live counts of only the files
+//!   whose list holds that node (about `K·4R/n`), and a list that falls
+//!   below `R` live nodes is walked again at twice its width;
+//! * leave handoff reads a file's first `R` live successors
+//!   ([`SuccessorDirectory::live_replicas`]);
+//! * join refill reads the joiner's files off the directory's
+//!   node → files index ([`SuccessorDirectory::keys_on`]).
 //!
 //! Each applied event makes at most one
 //! `CacheNetwork::mutate_placement` call, so every strategy's sampler and
 //! the conditional cached-file sampler stay consistent mid-churn and are
-//! rebuilt once per event. An event does `O(V)` expected ring work (one
-//! bucket lookup per virtual node plus short walks) and `O(M)`
-//! placement calls, each shifting only inside one node's fixed-stride
-//! file slot (`O(M)`) and one file's replica list, plus that one rebuild.
+//! rebuilt once per event. Apart from list growth, an event does
+//! `O(K·R/n)` expected directory work and `O(M)` placement calls, each
+//! shifting only inside one node's fixed-stride file slot (`O(M)`) and
+//! one file's replica list, plus that one rebuild.
 
 use crate::schedule::{ChurnEventKind, ChurnSchedule};
 use paba_core::source::RequestSource;
 use paba_core::{CacheNetwork, Placement, Request, SimReport, Strategy};
-use paba_dht::HashRing;
+use paba_dht::SuccessorDirectory;
 use paba_popularity::FileId;
 use paba_telemetry::{Counter, Recorder, SpanTimer, Stage};
 use paba_topology::{NodeId, Topology};
@@ -149,19 +151,17 @@ const DRAW_ATTEMPTS: u32 = 48;
 pub struct ChurnEngine {
     alive: Vec<bool>,
     live: u32,
-    /// The full-membership ring, built once and read through `alive`.
-    ring: HashRing,
-    /// `(ring position, file)` for every file key, sorted by position:
-    /// join refill intersects the joiner's ring arcs with it.
-    file_keys: Vec<(u64, FileId)>,
+    /// Every file's ring successors, built once and read through `alive`.
+    directory: SuccessorDirectory,
     cfg: ChurnCfg,
     report: ChurnReport,
 }
 
 impl ChurnEngine {
-    /// Start with every node alive. Builds the ring (a bucket counting
-    /// sort, `O(nV)` expected) and sorts the file-key index
-    /// (`O(K·log K)`) once.
+    /// Start with every node alive. Builds the successor directory once:
+    /// a counting scatter of the ring's `nV` points, then a walk of about
+    /// `4R` successors per file that sorts only the ring buckets it
+    /// enters.
     ///
     /// # Panics
     /// On the implicit full placement (churn requires a materialized,
@@ -172,16 +172,10 @@ impl ChurnEngine {
             "churn needs a materialized (non-full) placement"
         );
         let n = net.n();
-        let ring = HashRing::new(n, cfg.vnodes, cfg.salt);
-        let mut file_keys: Vec<(u64, FileId)> = (0..net.k())
-            .map(|f| (ring.key_position(f as u64), f))
-            .collect();
-        file_keys.sort_unstable();
         Self {
             alive: vec![true; n as usize],
             live: n,
-            ring,
-            file_keys,
+            directory: SuccessorDirectory::new(n, cfg.vnodes, cfg.salt, net.k(), cfg.replication),
             cfg,
             report: ChurnReport::default(),
         }
@@ -237,6 +231,7 @@ impl ChurnEngine {
         }
         self.alive[node as usize] = false;
         self.live -= 1;
+        self.directory.set_live(node, &self.alive);
         true
     }
 
@@ -292,11 +287,10 @@ impl ChurnEngine {
         // first live ring successor with room (the minimal-disruption
         // move), regardless of the repair policy — departure is the
         // node's own protocol, not the network's.
-        let (ring, alive) = (&self.ring, &self.alive);
-        let k = self.cfg.replication as usize;
+        let (directory, alive) = (&self.directory, &self.alive);
         let moves = rehome(net, node, |p, f| {
-            ring.lookup_replicas_where(f as u64, k, |s| alive[s as usize])
-                .into_iter()
+            directory
+                .live_replicas(f, alive)
                 .find(|&u| !p.caches(u, f) && p.t_u(u) < p.m())
         });
         self.record_moves(moves, rec);
@@ -320,6 +314,7 @@ impl ChurnEngine {
         }
         self.alive[node as usize] = true;
         self.live += 1;
+        self.directory.set_live(node, &self.alive);
         if matches!(self.cfg.repair, RepairPolicy::None) {
             // The node resumes serving whatever the (stale) directory
             // still attributes to it — a crash/rejoin round-trips its
@@ -364,24 +359,15 @@ impl ChurnEngine {
     }
 
     /// The cached files `node` lacks whose live replica set includes it,
-    /// in ascending id, up to its free room: the joiner's ring arcs
-    /// intersected with the sorted file-key index.
+    /// in ascending id, up to its free room: the directory's files for
+    /// `node`.
     fn ring_refill(&self, p: &Placement, node: NodeId) -> Vec<FileId> {
-        let alive = &self.alive;
-        let k = self.cfg.replication as usize;
-        let mut files: Vec<FileId> = Vec::new();
-        for (lo, hi) in self.ring.replica_arcs(node, k, |s| alive[s as usize]) {
-            let a = self.file_keys.partition_point(|&(x, _)| x < lo);
-            let b = self.file_keys.partition_point(|&(x, _)| x <= hi);
-            files.extend(
-                self.file_keys[a..b]
-                    .iter()
-                    .map(|&(_, f)| f)
-                    .filter(|&f| p.replica_count(f) > 0 && !p.caches(node, f)),
-            );
-        }
+        let mut files: Vec<FileId> = self
+            .directory
+            .keys_on(node, &self.alive)
+            .filter(|&f| p.replica_count(f) > 0 && !p.caches(node, f))
+            .collect();
         files.sort_unstable();
-        files.dedup();
         files.truncate((p.m() - p.t_u(node)) as usize);
         files
     }
@@ -506,8 +492,9 @@ fn pick_target<R: Rng + ?Sized>(
     need_room: bool,
     rng: &mut R,
 ) -> Option<NodeId> {
+    // The room check first: under churn most nodes are full.
     let fits =
-        |u: NodeId| alive[u as usize] && !p.caches(u, file) && (!need_room || p.t_u(u) < p.m());
+        |u: NodeId| alive[u as usize] && (!need_room || p.t_u(u) < p.m()) && !p.caches(u, file);
     let mut draw = || {
         (0..DRAW_ATTEMPTS)
             .map(|_| rng.gen_range(0..p.n()))

@@ -13,11 +13,13 @@
 //!   (sorted replica lists, per-node file slots, and the dense bitmaps all
 //!   stay consistent; see `Placement::insert`/`remove`), one
 //!   `mutate_placement` batch per event, with `paba-dht`'s
-//!   [`HashRing`](paba_dht::HashRing) as the minimal-disruption
-//!   directory for leave handoff and join refill. The ring is built once
-//!   for every node and read through the engine's liveness mask, so an
-//!   event touches only the arcs next to the node that churned (a
-//!   joiner's arcs are intersected with a sorted file-key index);
+//!   [`SuccessorDirectory`](paba_dht::SuccessorDirectory) as the
+//!   minimal-disruption directory for leave handoff and join refill.
+//!   It holds every file's first `4R` successors on one consistent-hash
+//!   ring over every node, built once and read through the engine's
+//!   liveness mask, so an event touches only the files whose list holds
+//!   the node that churned (a joiner reads its files off the
+//!   directory's node → files index);
 //! * **graceful degradation** — requests hitting a dead replica probe
 //!   the next-nearest live replicas under a bounded retry budget, then
 //!   serve degraded at the origin ([`ChurnEngine::failover`]);

@@ -6,7 +6,10 @@
 //! hops and load vector, and the final placement, to the bit. The
 //! literals come from the engine that rebuilt its ring on every event
 //! and scanned every file on join, so they hold any faster engine to
-//! that engine's RNG stream and placement decisions.
+//! that engine's RNG stream and placement decisions. A kill-heavy
+//! schedule (crashes only, nine in ten nodes cycled) is pinned the same
+//! way, with literals from the engine that read one ring through its
+//! liveness mask and walked a joiner's ring arcs.
 
 use paba_churn::{
     simulate_churn, ChurnCfg, ChurnReport, ChurnSchedule, RepairPolicy, ScheduleSpec,
@@ -34,18 +37,13 @@ fn fold(words: impl Iterator<Item = u64>) -> u64 {
     words.fold(0, mix_seed)
 }
 
-fn observe(repair: RepairPolicy, graceful: f64, seed: u64) -> Observed {
+fn observe(repair: RepairPolicy, spec: ScheduleSpec, seed: u64) -> Observed {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut net = CacheNetwork::builder()
         .torus_side(12)
         .library(60, Popularity::zipf(0.8))
         .cache_size(6)
         .build(&mut rng);
-    let spec = ScheduleSpec {
-        cycle_fraction: 0.25,
-        graceful_fraction: graceful,
-        inserts: 40,
-    };
     let requests = 4 * net.n() as u64;
     let schedule = ChurnSchedule::generate(&spec, net.n(), net.k(), requests, seed ^ 0xC0FFEE);
     let cfg = ChurnCfg {
@@ -85,6 +83,23 @@ const REPAIRS: [RepairPolicy; 3] = [
 ];
 const GRACEFUL: [f64; 3] = [0.0, 0.5, 1.0];
 const SEEDS: [u64; 2] = [3, 8];
+
+/// The schedule of [`EXPECTED`]: a quarter of the nodes cycled, 40 inserts.
+fn schedule(graceful_fraction: f64) -> ScheduleSpec {
+    ScheduleSpec {
+        cycle_fraction: 0.25,
+        graceful_fraction,
+        inserts: 40,
+    }
+}
+
+/// Crashes only, with nine in ten nodes cycled: outages overlap so far
+/// that some files lose most of their ring successors at once.
+const KILL_HEAVY: ScheduleSpec = ScheduleSpec {
+    cycle_fraction: 0.9,
+    graceful_fraction: 0.0,
+    inserts: 40,
+};
 
 /// One recorded run: the `ChurnReport` fields in declaration order, then
 /// max load, total hops, and the load and placement folds.
@@ -158,13 +173,47 @@ fn churn_output_matches_the_recorded_literals() {
         for graceful in GRACEFUL {
             for seed in SEEDS {
                 assert_eq!(
-                    observe(repair, graceful, seed),
+                    observe(repair, schedule(graceful), seed),
                     expected(&EXPECTED[i]),
                     "repair {}, graceful {graceful}, seed {seed}",
                     repair.label()
                 );
                 i += 1;
             }
+        }
+    }
+}
+
+/// Recorded for `(repair, seed)` in the nested order of [`REPAIRS`] and
+/// [`SEEDS`] under [`KILL_HEAVY`].
+#[rustfmt::skip]
+const EXPECTED_KILL_HEAVY: [Row; 6] = [
+    // none, seed 3
+    ([300, 0, 490, 7, 0, 120, 80, 0], 11, 1641, 0x06ef53e294bd8d65, 0x74d29e4ab17282fb),
+    // none, seed 8
+    ([300, 0, 432, 7, 0, 120, 83, 0], 10, 1632, 0x8b625ba9a5e88fa2, 0x0ebb95ccdd608b77),
+    // random, seed 3
+    ([300, 0, 0, 0, 845, 120, 112, 701], 9, 1841, 0x70afdc500a9b0f82, 0x1f667c5630c4ccd5),
+    // random, seed 8
+    ([300, 0, 0, 0, 824, 120, 110, 717], 7, 1857, 0xf13e8a513dce2537, 0x11d5bae648ce7e62),
+    // two-choices, seed 3
+    ([300, 0, 0, 0, 833, 120, 99, 709], 8, 1823, 0x84d1dc6847bac828, 0x33f2350eba72f134),
+    // two-choices, seed 8
+    ([300, 0, 0, 0, 821, 120, 104, 721], 8, 1819, 0xbfd21eafce58c242, 0xfe3c8f11edd6f1bd),
+];
+
+#[test]
+fn kill_heavy_churn_matches_the_recorded_literals() {
+    let mut i = 0;
+    for repair in REPAIRS {
+        for seed in SEEDS {
+            assert_eq!(
+                observe(repair, KILL_HEAVY, seed),
+                expected(&EXPECTED_KILL_HEAVY[i]),
+                "repair {}, seed {seed}",
+                repair.label()
+            );
+            i += 1;
         }
     }
 }

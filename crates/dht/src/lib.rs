@@ -9,10 +9,15 @@
 //!   space with virtual nodes, O(1) expected successor lookup (a
 //!   bucket table keyed by the top bits of a ring position), k-distinct-
 //!   successor replication, and the minimal-disruption property on
-//!   membership change (tested, not just asserted). A membership
-//!   predicate turns one fixed ring into the ring of any member subset:
-//!   [`HashRing::lookup_replicas_where`] skips the excluded servers, and
-//!   [`HashRing::replica_arcs`] names the key arcs a server replicates;
+//!   membership change (tested, not just asserted);
+//! * [`SuccessorDirectory`] — one fixed ring serving a changing
+//!   membership: every key's first `4R` distinct successors with their
+//!   live counts and a server → keys index, in flat arrays. A key's first
+//!   `R` live successors are its replica set on the ring rebuilt without
+//!   the dead servers, a membership change touches only the keys whose
+//!   list holds the server that changed, and the server's index names
+//!   the keys it replicates (the churn engine's leave handoff and join
+//!   refill);
 //! * [`dht_placement`] — deterministic cache placement for a
 //!   [`paba_core::CacheNetwork`]: each file lands on the `R_j` distinct
 //!   successors of its key, with per-file replication proportional to
@@ -25,8 +30,10 @@
 //! scheme deployable. `paba simulate --placement dht` compares it with the
 //! i.i.d. placement under Strategy I/II.
 
+pub mod directory;
 pub mod placement;
 pub mod ring;
 
+pub use directory::SuccessorDirectory;
 pub use placement::{dht_placement, DhtPlacementConfig};
 pub use ring::HashRing;

@@ -44,40 +44,26 @@ impl HashRing {
     /// [`HashRing::new`] with virtual node `v` of `server` at
     /// `position(server, v)`, so tests can force a hash collision.
     ///
-    /// A counting sort on the bucket of each position: count, prefix-sum
-    /// into bucket ends, scatter into the final `points` vector (filling
-    /// each bucket from its end), then sort each bucket of about four
-    /// points. Hashing twice costs less than a second ring-sized buffer.
-    fn with_positions(n: u32, vnodes: u32, salt: u64, position: impl Fn(u32, u32) -> u64) -> Self {
-        assert!(n > 0, "ring needs at least one server");
-        assert!(vnodes > 0, "need at least one virtual node per server");
-        let len = u32::try_from(n as u64 * vnodes as u64)
-            .expect("a ring holds at most u32::MAX points") as usize;
-        let shift = Self::shift_for(len);
-        let mut starts = vec![0u32; (1usize << (64 - shift)) + 1];
-        for server in 0..n {
-            for v in 0..vnodes {
-                starts[(position(server, v) >> shift) as usize] += 1;
-            }
-        }
-        for b in 1..starts.len() {
-            starts[b] += starts[b - 1];
-        }
-        let mut points = vec![(0u64, 0u32); len];
-        for server in 0..n {
-            for v in 0..vnodes {
-                let pos = position(server, v);
-                let slot = &mut starts[(pos >> shift) as usize];
-                *slot -= 1;
-                points[*slot as usize] = (pos, server);
-            }
-        }
+    /// The counting scatter of [`Scatter::new`], then a sort of each
+    /// bucket of about four points.
+    pub(crate) fn with_positions(
+        n: u32,
+        vnodes: u32,
+        salt: u64,
+        position: impl Fn(u32, u32) -> u64,
+    ) -> Self {
+        let Scatter {
+            mut points,
+            starts,
+            shift,
+        } = Scatter::new(n, vnodes, position);
         for b in starts.windows(2) {
             points[b[0] as usize..b[1] as usize].sort_unstable();
         }
         // Hash collisions across distinct (server, vnode) pairs are
         // astronomically unlikely (64-bit, ≤ 2^32 points) but would make
         // ownership ambiguous; dedupe keeps the first owner.
+        let len = points.len();
         points.dedup_by_key(|p| p.0);
         if points.len() < len {
             return Self::from_sorted(points, vnodes, salt);
@@ -94,7 +80,7 @@ impl HashRing {
     /// A ring over already sorted, deduplicated points, with its bucket
     /// table built in one pass.
     fn from_sorted(points: Vec<(u64, u32)>, vnodes: u32, salt: u64) -> Self {
-        let shift = Self::shift_for(points.len());
+        let shift = shift_for(points.len());
         let mut starts = vec![0u32; (1usize << (64 - shift)) + 1];
         for &(pos, _) in &points {
             starts[(pos >> shift) as usize + 1] += 1;
@@ -111,13 +97,6 @@ impl HashRing {
         }
     }
 
-    /// The shift that keys a ring of `len` points by the top bits of a
-    /// position: the smallest power-of-two bucket count (at least 2) that
-    /// is at least `len / 4`.
-    fn shift_for(len: usize) -> u32 {
-        64 - (len / 4).max(2).next_power_of_two().trailing_zeros()
-    }
-
     /// The index of the first point at or after `pos`, or `points.len()`
     /// when every point lies below it: a bucket lookup, then a search
     /// inside the bucket.
@@ -128,15 +107,17 @@ impl HashRing {
         lo + self.points[lo..hi].partition_point(|&(p, _)| p < pos)
     }
 
+    /// The ring position of virtual node `vnode` of `server`.
     #[inline]
-    fn vnode_hash(server: u32, vnode: u32, salt: u64) -> u64 {
+    pub(crate) fn vnode_hash(server: u32, vnode: u32, salt: u64) -> u64 {
         mix_seed(salt, ((server as u64) << 32) | vnode as u64)
     }
 
-    /// Hash an arbitrary key onto the ring.
+    /// The ring position of an arbitrary key on a ring salted with
+    /// `salt`.
     #[inline]
-    pub fn key_position(&self, key: u64) -> u64 {
-        mix64(key ^ self.salt.rotate_left(17))
+    pub(crate) fn key_hash(key: u64, salt: u64) -> u64 {
+        mix64(key ^ salt.rotate_left(17))
     }
 
     /// Virtual nodes per server.
@@ -147,7 +128,7 @@ impl HashRing {
     /// The server owning `key`: the successor virtual node of the key's
     /// ring position (wrapping past the top of the key space).
     pub fn lookup(&self, key: u64) -> u32 {
-        let idx = self.first_at_or_after(self.key_position(key));
+        let idx = self.first_at_or_after(Self::key_hash(key, self.salt));
         let idx = if idx == self.points.len() { 0 } else { idx };
         self.points[idx].1
     }
@@ -157,29 +138,15 @@ impl HashRing {
     /// Returns fewer than `k` only if the ring has fewer distinct servers,
     /// and nothing when `k == 0`.
     pub fn lookup_replicas(&self, key: u64, k: usize) -> Vec<u32> {
-        self.lookup_replicas_where(key, k, |_| true)
-    }
-
-    /// [`HashRing::lookup_replicas`] over only the servers `keep`
-    /// accepts: the successor walk skips every point of a rejected
-    /// server. The result equals `lookup_replicas` on the ring rebuilt
-    /// without the rejected servers, so a fixed ring read through a
-    /// liveness mask serves a changing membership.
-    pub fn lookup_replicas_where(
-        &self,
-        key: u64,
-        k: usize,
-        keep: impl Fn(u32) -> bool,
-    ) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::with_capacity(k);
         if k == 0 {
             return out;
         }
         let (before, after) = self
             .points
-            .split_at(self.first_at_or_after(self.key_position(key)));
+            .split_at(self.first_at_or_after(Self::key_hash(key, self.salt)));
         for &(_, server) in after.iter().chain(before) {
-            if keep(server) && !out.contains(&server) {
+            if !out.contains(&server) {
                 out.push(server);
                 if out.len() == k {
                     break;
@@ -189,71 +156,15 @@ impl HashRing {
         out
     }
 
-    /// The key positions whose [`HashRing::lookup_replicas_where`] set
-    /// (for the same `k` and `keep`) contains `server`, as inclusive
-    /// `(lo, hi)` ranges with `lo <= hi`; an arc that wraps past the top
-    /// of the key space comes back as two ranges. Ranges may overlap.
-    ///
-    /// Walking back from each of `server`'s virtual nodes over accepted
-    /// points until `k` distinct other servers are seen marks one arc:
-    /// a key that starts its successor walk on a point passed reaches
-    /// `server` before `k` others. Empty when `k == 0` or `keep` rejects
-    /// `server`; the whole key space when fewer than `k` other servers
-    /// are accepted. Cost: `V` bucket lookups plus the points walked
-    /// back, about `k` per virtual node when most servers are accepted.
-    pub fn replica_arcs(
-        &self,
-        server: u32,
-        k: usize,
-        keep: impl Fn(u32) -> bool,
-    ) -> Vec<(u64, u64)> {
-        if k == 0 || !keep(server) {
-            return Vec::new();
-        }
-        let mut arcs = Vec::with_capacity(self.vnodes as usize);
-        let mut seen: Vec<u32> = Vec::with_capacity(k);
-        for v in 0..self.vnodes {
-            let pos = Self::vnode_hash(server, v, self.salt);
-            let at = self.first_at_or_after(pos);
-            // A virtual node lost to a hash collision owns no point.
-            if self.points.get(at) != Some(&(pos, server)) {
-                continue;
-            }
-            seen.clear();
-            let mut from = None;
-            let (below, rest) = self.points.split_at(at);
-            for &(p, s) in below.iter().rev().chain(rest[1..].iter().rev()) {
-                if s != server && keep(s) && !seen.contains(&s) {
-                    seen.push(s);
-                    if seen.len() == k {
-                        from = Some(p);
-                        break;
-                    }
-                }
-            }
-            let Some(from) = from else {
-                return vec![(0, u64::MAX)];
-            };
-            if from < pos {
-                arcs.push((from + 1, pos));
-            } else {
-                if from < u64::MAX {
-                    arcs.push((from + 1, u64::MAX));
-                }
-                arcs.push((0, pos));
-            }
-        }
-        arcs
-    }
-
     /// A new ring with server `gone` removed (its arcs fall to their
     /// successors; everyone else's assignments are untouched).
     ///
     /// Copies every remaining point and rebuilds the bucket table in one
-    /// pass. The churn engine reads one fixed ring through its liveness
-    /// mask instead ([`HashRing::lookup_replicas_where`]); this rebuild
-    /// is kept as the reference the ring tests compare the mask against,
-    /// and for the benchmark's `dht.ring_rebuild_ns` probe.
+    /// pass. The churn engine reads one fixed ring's successor lists
+    /// through its liveness mask instead ([`crate::SuccessorDirectory`]);
+    /// this rebuild is kept as the reference the ring and directory tests
+    /// compare the mask against, and for the benchmark's
+    /// `dht.ring_rebuild_ns` probe.
     ///
     /// # Panics
     /// If removing `gone` would empty the ring.
@@ -319,6 +230,68 @@ impl HashRing {
             0.0
         } else {
             moved as f64 / total as f64
+        }
+    }
+}
+
+/// The shift that keys a ring of `len` points by the top bits of a
+/// position: the smallest power-of-two bucket count (at least 2) that is
+/// at least `len / 4`.
+fn shift_for(len: usize) -> u32 {
+    64 - (len / 4).max(2).next_power_of_two().trailing_zeros()
+}
+
+/// Every virtual node's `(position, server)` point, counting-sorted into
+/// buckets keyed by the top bits of the position (about four points per
+/// bucket), each bucket still in no particular order. [`HashRing`] sorts
+/// every bucket up front; [`crate::SuccessorDirectory`] sorts a bucket
+/// only when one of its walks first enters it.
+pub(crate) struct Scatter {
+    /// The points, bucket by bucket; equal positions share a bucket.
+    pub(crate) points: Vec<(u64, u32)>,
+    /// `starts[b]..starts[b + 1]` are the points whose position's top
+    /// bits (`position >> shift`) equal `b`; the last entry is
+    /// `points.len()`.
+    pub(crate) starts: Vec<u32>,
+    pub(crate) shift: u32,
+}
+
+impl Scatter {
+    /// Count the points of servers `0..n` per bucket, prefix-sum into
+    /// bucket ends, then scatter into the final `points` vector (filling
+    /// each bucket from its end): O(nV). Hashing twice costs less than a
+    /// second ring-sized buffer.
+    ///
+    /// # Panics
+    /// If `n == 0` or `vnodes == 0`, or if `n·vnodes` exceeds `u32::MAX`.
+    pub(crate) fn new(n: u32, vnodes: u32, position: impl Fn(u32, u32) -> u64) -> Self {
+        assert!(n > 0, "ring needs at least one server");
+        assert!(vnodes > 0, "need at least one virtual node per server");
+        let len = u32::try_from(n as u64 * vnodes as u64)
+            .expect("a ring holds at most u32::MAX points") as usize;
+        let shift = shift_for(len);
+        let mut starts = vec![0u32; (1usize << (64 - shift)) + 1];
+        for server in 0..n {
+            for v in 0..vnodes {
+                starts[(position(server, v) >> shift) as usize] += 1;
+            }
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut points = vec![(0u64, 0u32); len];
+        for server in 0..n {
+            for v in 0..vnodes {
+                let pos = position(server, v);
+                let slot = &mut starts[(pos >> shift) as usize];
+                *slot -= 1;
+                points[*slot as usize] = (pos, server);
+            }
+        }
+        Self {
+            points,
+            starts,
+            shift,
         }
     }
 }
@@ -600,13 +573,9 @@ mod tests {
         assert_eq!(ring.points, expect);
         assert!(ring.points.contains(&(position(0, 0), 0)));
         assert_index_matches_search(&ring);
-        // Server 2's lost virtual node owns no arc, but its others do.
-        let arcs = ring.replica_arcs(2, 1, |_| true);
-        assert_eq!(
-            arcs.iter().filter(|&&(_, hi)| hi == position(2, 1)).count(),
-            0
-        );
-        assert!(!arcs.is_empty());
+        // Server 2's lost virtual node owns no point, but its others do.
+        assert!(!ring.points.contains(&(position(2, 1), 2)));
+        assert_eq!(ring.points.iter().filter(|&&(_, s)| s == 2).count(), 2);
         // A joiner whose virtual node lands on an existing point loses it
         // to the smaller id, as in `new`: server 1's virtual node 2 sits
         // where server 4's virtual node 0 will.

@@ -9,15 +9,15 @@
 //! 2. **Minimal disruption** — across each step, a key changes hands
 //!    only if its old owner left or its new owner just joined, and the
 //!    moved fraction stays near the 1/|servers| ideal.
-//! 3. **A mask is a rebuild** — the full ring read through a membership
-//!    mask (`lookup_replicas_where`) answers exactly like the ring
-//!    rebuilt for that membership, which is how the churn engine keeps
-//!    one ring for a whole run.
-//! 4. **Arcs are replica sets** — a key's position lies in server `s`'s
-//!    `replica_arcs` exactly when its masked replica set contains `s`,
-//!    which is how a joiner finds the files it should adopt.
+//! 3. **A mask is a rebuild** — a [`SuccessorDirectory`] over the full
+//!    ring, told which servers went down, answers every key's live
+//!    replica set exactly like the ring rebuilt for that membership,
+//!    which is how the churn engine keeps one ring for a whole run.
+//! 4. **A server's keys are its replica sets** — a server's directory
+//!    keys (`keys_on`) are exactly the keys whose masked replica set
+//!    contains it, which is how a joiner finds the files it should adopt.
 
-use paba_dht::HashRing;
+use paba_dht::{HashRing, SuccessorDirectory};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,18 +159,28 @@ fn random_masks(seed: u64) -> Vec<Vec<bool>> {
     masks
 }
 
-fn in_arcs(arcs: &[(u64, u64)], x: u64) -> bool {
-    arcs.iter().any(|&(lo, hi)| lo <= x && x <= hi)
+/// A directory over keys `0..MASK_KEYS` with `k` replicas, told that
+/// every server `members` rejects went down, in ascending order.
+fn directory(members: &[bool], k: u32) -> SuccessorDirectory {
+    let mut dir = SuccessorDirectory::new(N, VNODES, SALT, MASK_KEYS as u32, k);
+    let mut alive = vec![true; N as usize];
+    for s in 0..N {
+        if !members[s as usize] {
+            alive[s as usize] = false;
+            dir.set_live(s, &alive);
+        }
+    }
+    dir
 }
 
 #[test]
 fn masked_lookup_matches_rebuilt_ring() {
-    let ring = HashRing::new(N, VNODES, SALT);
     for (m, members) in random_masks(7).iter().enumerate() {
         let rebuilt = reference(members);
         for k in [0, 1, REPLICAS, 5] {
+            let dir = directory(members, k as u32);
             for key in 0..MASK_KEYS {
-                let masked = ring.lookup_replicas_where(key, k, |s| members[s as usize]);
+                let masked: Vec<u32> = dir.live_replicas(key as u32, members).collect();
                 assert_eq!(
                     masked,
                     rebuilt.lookup_replicas(key, k),
@@ -182,73 +192,46 @@ fn masked_lookup_matches_rebuilt_ring() {
 }
 
 #[test]
-fn zero_replicas_means_no_replicas_and_no_arcs() {
+fn zero_replicas_means_no_replicas_and_no_keys() {
     let ring = HashRing::new(N, VNODES, SALT);
+    let dir = SuccessorDirectory::new(N, VNODES, SALT, 200, 0);
+    let alive = vec![true; N as usize];
     for key in 0..200 {
         assert!(ring.lookup_replicas(key, 0).is_empty(), "key {key}");
-        assert!(ring.lookup_replicas_where(key, 0, |_| true).is_empty());
+        assert_eq!(dir.live_replicas(key as u32, &alive).count(), 0);
     }
     for s in 0..N {
-        assert!(ring.replica_arcs(s, 0, |_| true).is_empty(), "server {s}");
+        assert_eq!(dir.keys_on(s, &alive).count(), 0, "server {s}");
     }
 }
 
 #[test]
-fn replica_arcs_hold_exactly_the_keys_replicated_on_the_server() {
-    let ring = HashRing::new(N, VNODES, SALT);
-    let mut wrapped = 0u64;
+fn directory_keys_are_exactly_the_keys_replicated_on_the_server() {
     for (m, members) in random_masks(11).iter().enumerate() {
         let live = members.iter().filter(|&&a| a).count();
-        let keep = |s: u32| members[s as usize];
+        let rebuilt = reference(members);
         for k in [1, 2, REPLICAS, 5] {
+            let dir = directory(members, k as u32);
             let sets: Vec<Vec<u32>> = (0..MASK_KEYS)
-                .map(|key| ring.lookup_replicas_where(key, k, keep))
+                .map(|key| rebuilt.lookup_replicas(key, k))
                 .collect();
-            let mut at_zero = Vec::new();
-            let mut at_top = Vec::new();
             for s in 0..N {
-                let arcs = ring.replica_arcs(s, k, keep);
-                assert!(arcs.iter().all(|&(lo, hi)| lo <= hi), "mask {m}, k {k}");
+                let mut keys: Vec<u32> = dir.keys_on(s, members).collect();
+                keys.sort_unstable();
                 if !members[s as usize] {
-                    assert!(arcs.is_empty(), "mask {m}, k {k}: dead server {s}");
+                    assert!(keys.is_empty(), "mask {m}, k {k}: dead server {s}");
                     continue;
                 }
                 if live <= k {
                     // Fewer than k other live servers: every key's
                     // replica set holds every live server.
-                    assert_eq!(arcs, vec![(0, u64::MAX)], "mask {m}, k {k}");
+                    assert_eq!(keys.len() as u64, MASK_KEYS, "mask {m}, k {k}");
                 }
-                // The two halves of an arc split at the key-space end
-                // (but not the whole-space arc).
-                let split: Vec<(u64, u64)> = arcs
-                    .iter()
-                    .copied()
-                    .filter(|&(lo, hi)| (lo == 0) != (hi == u64::MAX))
+                let expect: Vec<u32> = (0..MASK_KEYS as u32)
+                    .filter(|&key| sets[key as usize].contains(&s))
                     .collect();
-                for (key, set) in (0..MASK_KEYS).zip(&sets) {
-                    let pos = ring.key_position(key);
-                    assert_eq!(
-                        in_arcs(&arcs, pos),
-                        set.contains(&s),
-                        "mask {m}, k {k}, server {s}, key {key}"
-                    );
-                    wrapped += in_arcs(&split, pos) as u64;
-                }
-                if in_arcs(&arcs, 0) {
-                    at_zero.push(s);
-                }
-                if in_arcs(&arcs, u64::MAX) {
-                    at_top.push(s);
-                }
+                assert_eq!(keys, expect, "mask {m}, k {k}, server {s}");
             }
-            // Both ends of the key space start their walk on the lowest
-            // point, so the same min(k, live) servers cover them.
-            assert_eq!(at_zero, at_top, "mask {m}, k {k}");
-            assert_eq!(at_zero.len(), k.min(live), "mask {m}, k {k}");
         }
     }
-    assert!(
-        wrapped > 0,
-        "no sampled key fell in an arc at a key-space end"
-    );
 }
