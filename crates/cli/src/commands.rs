@@ -55,7 +55,7 @@ SIMULATE OPTIONS (defaults in parentheses):
   --placement P     proportional | distinct | full | dht (proportional)
   --strategy S      nearest | two-choice | d-choice | least-loaded (two-choice)
   --radius R        proximity radius, integer or 'inf' (inf)
-  --choices D       number of choices for d-choice (2)
+  --choices D       number of choices for d-choice, at most n (2)
   --stale P         refresh load info only every P requests (1 = fresh)
   --requests Q      requests per run (n; trace length for --workload trace)
   --runs R          Monte-Carlo runs (20)
@@ -331,15 +331,23 @@ struct Dispatch {
     stale: u64,
 }
 
-/// Parse and validate the [`Dispatch`] options.
-fn dispatch(a: &Args) -> Result<Dispatch, String> {
+/// Parse and validate the [`Dispatch`] options on a torus of side `side`
+/// (already checked): d-choice takes at most one choice per node.
+fn dispatch(a: &Args, side: u32) -> Result<Dispatch, String> {
     let strategy = a.str_or("strategy", "two-choice");
     let choices: u32 = a.parse_or("choices", 2)?;
     let stale: u64 = a.parse_or("stale", 1)?;
+    let n = u64::from(side) * u64::from(side);
     let d = match strategy.as_str() {
         "nearest" | "two-choice" | "least-loaded" => 2,
         "d-choice" if choices == 0 => {
             return Err("--choices must be at least 1 for --strategy d-choice".into())
+        }
+        "d-choice" if u64::from(choices) > n => {
+            return Err(format!(
+                "--choices {choices} exceeds the {n} nodes of --side {side}: \
+                 a request has at most one candidate per node"
+            ))
         }
         "d-choice" => choices,
         other => return Err(format!("--strategy: unknown strategy '{other}'")),
@@ -489,7 +497,6 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
     let runs: usize = a.parse_or("runs", 20)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests_opt: u64 = a.parse_or("requests", 0)?;
-    let dispatch = dispatch(a)?;
     let placement = a.str_or("placement", "proportional");
 
     let policy = match placement.as_str() {
@@ -502,6 +509,7 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
     // Full replication ignores --cache; every other placement fills it.
     let cache = (policy != PlacementPolicy::FullLibrary).then_some(m);
     check_network(side, 1, k, cache, gamma)?;
+    let dispatch = dispatch(a, side)?;
     if policy == PlacementPolicy::ProportionalDistinct {
         // Distinct draws need M files the popularity can reach.
         let weights = popularity(gamma)
@@ -852,8 +860,8 @@ pub fn queue(a: &Args) -> Result<(), String> {
     let horizon: f64 = a.parse_or("horizon", 2_000.0)?;
     let warmup: f64 = a.parse_or("warmup", 500.0)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    let Dispatch { strategy, d, stale } = dispatch(a)?;
     check_network(side, 1, k, Some(m), gamma)?;
+    let Dispatch { strategy, d, stale } = dispatch(a, side)?;
     check_queue(lambda, horizon, warmup)?;
     let spec = workload_spec(a)?;
     if let WorkloadSpec::Replay { cycle: false, .. } = spec {
@@ -1940,6 +1948,23 @@ mod tests {
             ("simulate --gamma -1", "--gamma"),
             ("simulate --gamma nan", "--gamma"),
             ("simulate --strategy d-choice --choices 0", "--choices"),
+            // More choices than the 64 nodes: refused before any buffer
+            // is sized by them (4·10⁹ aborted asking for 16 GB).
+            (
+                "simulate --strategy d-choice --choices 4000000000 --side 8 --files 4 \
+                 --cache 2 --runs 1 --radius 2",
+                "--choices",
+            ),
+            (
+                "trace --strategy d-choice --choices 4000000000 --side 8 --files 4 \
+                 --cache 2 --runs 1 --radius 2",
+                "--choices",
+            ),
+            (
+                "queue --strategy d-choice --choices 4000000000 --side 8 --files 4 \
+                 --cache 2 --radius 2",
+                "--choices",
+            ),
             (
                 "simulate --placement distinct --files 5 --cache 10",
                 "--cache",

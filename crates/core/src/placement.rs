@@ -130,6 +130,14 @@ impl DenseIndex {
         Some((w >> (u % 64)) & 1 == 1)
     }
 
+    /// File `f`'s bitmap block (bit `u % 64` of word `u / 64` is node
+    /// `u`), or `None` when `f` is not indexed.
+    #[inline]
+    fn block(&self, f: FileId) -> Option<&[u64]> {
+        let off = self.offsets[f as usize];
+        (off != Self::NONE).then(|| &self.words[off as usize..off as usize + self.words_per_file])
+    }
+
     /// Set (`val = true`) or clear the membership bit for `(f, u)`; no-op
     /// when `f` is not indexed.
     #[inline]
@@ -655,6 +663,18 @@ impl Placement {
         match &self.kind {
             Kind::Sparse { dense, .. } => dense.offsets[f as usize] != DenseIndex::NONE,
             Kind::Full => false,
+        }
+    }
+
+    /// File `f`'s membership bitmap when it has a dense index: bit
+    /// `u % 64` of word `u / 64` is set iff node `u` caches `f`. Lets a
+    /// loop that tests many nodes against one file read the bits directly,
+    /// without [`Placement::caches`]'s per-call index dispatch.
+    #[inline]
+    pub(crate) fn dense_bitmap(&self, f: FileId) -> Option<&[u64]> {
+        match &self.kind {
+            Kind::Sparse { dense, .. } => dense.block(f),
+            Kind::Full => None,
         }
     }
 

@@ -62,7 +62,7 @@ impl ProximityChoice {
             radius,
             d,
             sampler: PoolSampler::new(SamplerKind::default()),
-            picks: Vec::with_capacity(d as usize),
+            picks: Vec::new(),
             rec: NullRecorder,
         }
     }

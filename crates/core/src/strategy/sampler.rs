@@ -18,6 +18,28 @@
 //!   capped so a surprisingly thin pool degrades into the exact path
 //!   below instead of spinning.
 //!
+//!   The trials run in a branch-free kernel ([`rejection_trials`]). Each
+//!   iteration makes one trial: a replica index, or one square proposal
+//!   of [`Topology::ball_trial`] (two draws on the paper's torus). It
+//!   computes whether the node is eligible (in the ball and caching the
+//!   file, or a replica within `r`) and new, writes it to a pick slot,
+//!   and advances the pick count by that flag. The loop exit is then the
+//!   only branch that depends on a draw. The trial kind (replica side,
+//!   ball side over a bitmap-indexed file whose bits it reads directly,
+//!   ball side otherwise) is chosen once per draw, with one loop each.
+//!   Picks go to a 16-slot stack buffer, or to the scratch vector when
+//!   `d > 16`. A loop that branches on each trial mispredicts: the
+//!   diamond and membership tests are close to coin flips. Draws,
+//!   picks, budgets and fallbacks are those of that loop, pinned path by
+//!   path in `sampler/pins.rs`. On perfbench (10 alternating 30 s pairs,
+//!   seeds 41–50, medians [quartiles] on a 2-core VM), `churn-repair`
+//!   `requests_per_s` went from 731k [728k, 740k] to 882k [872k, 888k]
+//!   (faster in 10 of 10) and `static-zipf` from 2.35M [2.33M, 2.39M] to
+//!   2.83M [2.78M, 2.85M] (10 of 10); `queue-hot`, which never gets
+//!   here, moved +8.7% with code placement. Traced `dispatch.assign_ns`
+//!   (5 pairs) went from 746 to 558 ns on `churn-repair` and from 448 to
+//!   383 ns on `static-zipf`.
+//!
 //! * **Windowed exact materialization** (sparse pools). Node ids are
 //!   row-major lattice coordinates and replica lists are sorted, so the
 //!   pool is the union of at most `2(2r + 1)` contiguous sub-slices of
@@ -34,7 +56,7 @@
 use crate::network::CacheNetwork;
 use crate::placement::Placement;
 use paba_telemetry::{Counter, Recorder, SamplerPath};
-use paba_topology::{NodeId, Topology};
+use paba_topology::{Coord, NodeId, Topology};
 use rand::Rng;
 
 /// How [`crate::ProximityChoice`] draws candidates from the eligible pool.
@@ -76,6 +98,14 @@ const REJECTION_TRIALS_MAX: u64 = 16;
 /// estimate holds, and bounds wasted work by a constant factor of the
 /// windowed-scan cost it falls back to.
 const ATTEMPT_MULT: u64 = 4;
+
+/// Picks the rejection kernel keeps in a stack buffer; larger `d` use
+/// the sampler's scratch vector.
+const STACK_PICKS: usize = 16;
+
+/// Marks an unused pick slot. Node ids stay below `n ≤ 46,340²`, so no
+/// node has this id.
+const NO_NODE: NodeId = NodeId::MAX;
 
 /// Reusable scratch + configuration for pool sampling.
 ///
@@ -138,35 +168,12 @@ impl PoolSampler {
             let replica_side = (cnt as u64) < est_ball;
             let budget = ATTEMPT_MULT * d as u64 * (trials_est + 2);
             let oc = topo.coord_of(origin);
-            picks.clear();
-            let mut attempts = 0u64;
-            let mut ball_attempts = 0u64;
-            while (picks.len() as u32) < d && attempts < budget {
-                attempts += 1;
-                let v = if replica_side {
-                    let v = placement.replica_at(file, rng.gen_range(0..cnt));
-                    if topo.dist_from(oc, v) > r {
-                        continue;
-                    }
-                    v
-                } else {
-                    if Rec::ENABLED {
-                        ball_attempts += 1;
-                    }
-                    let v = topo.sample_in_ball_from(oc, r, rng);
-                    if !placement.caches(v, file) {
-                        continue;
-                    }
-                    v
-                };
-                if !picks.contains(&v) {
-                    picks.push(v);
-                }
+            let attempts = self.rejection(net, oc, file, r, d, budget, replica_side, picks, rng);
+            // Ball-side attempts are ball samples, one membership check each.
+            if Rec::ENABLED && !replica_side && attempts > 0 {
+                record_caches(rec, placement, file, attempts);
             }
-            if Rec::ENABLED && ball_attempts > 0 {
-                record_caches(rec, placement, file, ball_attempts);
-            }
-            if picks.len() as u32 == d {
+            if picks.len() == d as usize {
                 rec.path(if replica_side {
                     SamplerPath::RejectionReplica
                 } else {
@@ -202,6 +209,61 @@ impl PoolSampler {
                 sample_by_index(len as u32, d, |i| self.candidates[i as usize], picks, rng);
                 PoolDraw::Drawn
             }
+        }
+    }
+
+    /// The rejection trials of one draw: at most `budget` counted trials
+    /// for `d` distinct picks, which land in `picks` only if all `d` are
+    /// found (`picks` is left empty otherwise). Returns the number of
+    /// counted trials. Kept out of line, so that the trial loops get
+    /// registers of their own and the rest of [`PoolSampler::draw`] keeps
+    /// its code.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn rejection<T: Topology, R: Rng + ?Sized>(
+        &mut self,
+        net: &CacheNetwork<T>,
+        oc: Coord,
+        file: u32,
+        r: u32,
+        d: u32,
+        budget: u64,
+        replica_side: bool,
+        picks: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> u64 {
+        picks.clear();
+        // Each buffer gets kernel instances of its own, so the stack
+        // buffer's length is a constant in them.
+        if d as usize <= STACK_PICKS {
+            let mut stack = [NO_NODE; STACK_PICKS];
+            let (len, attempts) =
+                trials::<true, _, _>(&mut stack, net, oc, file, r, d, budget, replica_side, rng);
+            if len == d as usize {
+                picks.extend_from_slice(&stack[..len]);
+            }
+            attempts
+        } else {
+            // At most min(d, n) distinct picks exist, so the kernel never
+            // writes past slot min(d − 1, n).
+            let slots = (d as u64).min(net.n() as u64 + 1) as usize;
+            self.candidates.clear();
+            self.candidates.resize(slots, NO_NODE);
+            let (len, attempts) = trials::<false, _, _>(
+                &mut self.candidates,
+                net,
+                oc,
+                file,
+                r,
+                d,
+                budget,
+                replica_side,
+                rng,
+            );
+            if len == d as usize {
+                picks.extend_from_slice(&self.candidates[..len]);
+            }
+            attempts
         }
     }
 
@@ -329,6 +391,109 @@ impl PoolSampler {
     }
 }
 
+/// The rejection trials of one draw into `slots`, returning the number of
+/// picks and of counted trials. The trial kind (replica side, ball side
+/// over a bitmap-indexed file, ball side otherwise) is chosen here, once,
+/// so each kind gets a [`rejection_trials`] loop of its own and no kind's
+/// test runs inside another's loop. `FIXED_SCAN` goes to the kernel.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn trials<const FIXED_SCAN: bool, T: Topology, R: Rng + ?Sized>(
+    slots: &mut [NodeId],
+    net: &CacheNetwork<T>,
+    oc: Coord,
+    file: u32,
+    r: u32,
+    d: u32,
+    budget: u64,
+    replica_side: bool,
+    rng: &mut R,
+) -> (usize, u64) {
+    let (topo, placement) = (net.topo(), net.placement());
+    let d = d as usize;
+    if replica_side {
+        let reps = placement.replica_list(file).expect("sparse placement");
+        let cnt = reps.len() as u32;
+        rejection_trials::<FIXED_SCAN, _>(
+            slots,
+            d,
+            budget,
+            rng,
+            #[inline(always)]
+            |rng| {
+                let v = reps[rng.gen_range(0..cnt) as usize];
+                (v, topo.dist_from(oc, v) <= r, true)
+            },
+        )
+    } else if let Some(bits) = placement.dense_bitmap(file) {
+        rejection_trials::<FIXED_SCAN, _>(
+            slots,
+            d,
+            budget,
+            rng,
+            #[inline(always)]
+            |rng| {
+                let (v, inside) = topo.ball_trial(oc, r, rng);
+                // `v < n` keeps the word in range; `get` keeps a panic
+                // path, and the generator-state stores it forces, out of
+                // the loop.
+                let word = bits.get((v / 64) as usize).copied().unwrap_or(0);
+                let cached = (word >> (v % 64)) & 1 == 1;
+                (v, inside & cached, inside)
+            },
+        )
+    } else {
+        rejection_trials::<FIXED_SCAN, _>(
+            slots,
+            d,
+            budget,
+            rng,
+            #[inline(always)]
+            |rng| {
+                let (v, inside) = topo.ball_trial(oc, r, rng);
+                (v, inside && placement.caches(v, file), inside)
+            },
+        )
+    }
+}
+
+/// The rejection loop: run `trial` until `d` distinct eligible nodes fill
+/// `slots` or `budget` counted trials are spent, and return the number of
+/// picks and of counted trials. `trial` returns the node it names, whether
+/// that node is in the pool, and whether the trial counts against the
+/// budget (a ball sample does, a proposal outside the ball does not).
+///
+/// The loop exit is the only branch that depends on a draw. Every trial
+/// writes its slot (`NO_NODE` when the node is not kept) and advances the
+/// pick count by `eligible & fresh`. `slots[len..]` hold `NO_NODE`, so with
+/// `FIXED_SCAN` (the stack buffer) the freshness test compares the first
+/// `d` slots, a trip count fixed per draw, without an early exit; without
+/// it (the scratch vector, `d` up to `n`) it compares the picks so far.
+/// Each compare loads one slot, which the store of the previous trial
+/// forwards to it (a load of the whole buffer right after a one-slot store
+/// stalls on every trial). `slots` must have room for one more pick than
+/// the pool can fill, up to `d`, and for `d` slots with `FIXED_SCAN`.
+#[inline(always)]
+fn rejection_trials<const FIXED_SCAN: bool, R: ?Sized>(
+    slots: &mut [NodeId],
+    d: usize,
+    budget: u64,
+    rng: &mut R,
+    mut trial: impl FnMut(&mut R) -> (NodeId, bool, bool),
+) -> (usize, u64) {
+    let (mut len, mut attempts) = (0usize, 0u64);
+    while len < d && attempts < budget {
+        let (v, eligible, counted) = trial(rng);
+        let upto = if FIXED_SCAN { d } else { len };
+        let seen = slots[..upto].iter().fold(false, |seen, &p| seen | (p == v));
+        let keep = eligible & !seen;
+        slots[len] = if keep { v } else { NO_NODE };
+        len += keep as usize;
+        attempts += counted as u64;
+    }
+    (len, attempts)
+}
+
 /// Attribute `calls` [`Placement::caches`] membership checks for `file` to
 /// the index structure that answered them.
 fn record_caches<Rec: Recorder>(rec: &Rec, placement: &Placement, file: u32, calls: u64) {
@@ -410,6 +575,9 @@ pub(crate) fn sample_by_index<R: Rng + ?Sized, F: Fn(u32) -> NodeId>(
         }
     }
 }
+
+#[cfg(test)]
+mod pins;
 
 #[cfg(test)]
 mod tests {

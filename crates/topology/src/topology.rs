@@ -76,10 +76,15 @@ pub trait Topology: Clone + Send + Sync {
     /// Uniform random node within distance `r` of `u` (including `u`).
     fn sample_in_ball<R: Rng + ?Sized>(&self, u: NodeId, r: u32, rng: &mut R) -> NodeId;
 
-    /// [`Topology::sample_in_ball`] from an already-decoded center
-    /// coordinate — the per-trial primitive of rejection-sampling loops,
-    /// which decode the center once and then draw many times.
-    fn sample_in_ball_from<R: Rng + ?Sized>(&self, from: Coord, r: u32, rng: &mut R) -> NodeId;
+    /// One proposal of [`Topology::sample_in_ball`]'s rejection loop from
+    /// an already-decoded center `from`: the node its draws name and
+    /// whether that node lies within distance `r` of `from`. Repeating it
+    /// until the flag is set must consume the same draws and return the
+    /// same node as `sample_in_ball` at `from`'s node, so a rejection loop
+    /// that also tests the node against something else can decode the
+    /// center once, make one trial per iteration and combine the flags
+    /// without a branch.
+    fn ball_trial<R: Rng + ?Sized>(&self, from: Coord, r: u32, rng: &mut R) -> (NodeId, bool);
 }
 
 impl Topology for crate::Torus {
@@ -143,9 +148,9 @@ impl Topology for crate::Torus {
         self.sample_in_ball(u, r, rng)
     }
 
-    #[inline]
-    fn sample_in_ball_from<R: Rng + ?Sized>(&self, from: Coord, r: u32, rng: &mut R) -> NodeId {
-        self.sample_in_ball_from(from, r, rng)
+    #[inline(always)]
+    fn ball_trial<R: Rng + ?Sized>(&self, from: Coord, r: u32, rng: &mut R) -> (NodeId, bool) {
+        self.ball_trial(from, r, rng)
     }
 }
 
@@ -203,8 +208,13 @@ mod tests {
                 });
                 let v = t.sample_in_ball(u, r, &mut rng);
                 assert!(t.dist(u, v) <= r);
-                let v = t.sample_in_ball_from(cu, r, &mut rng);
-                assert!(t.dist(u, v) <= r, "sample_in_ball_from left the ball");
+                loop {
+                    let (v, inside) = t.ball_trial(cu, r, &mut rng);
+                    assert_eq!(inside, t.dist(u, v) <= r, "ball_trial flag, u={u} r={r}");
+                    if inside {
+                        break;
+                    }
+                }
             }
         }
     }

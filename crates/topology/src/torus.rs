@@ -265,71 +265,54 @@ impl Torus {
 
     /// Uniform random node of `B_r(u)` (including `u`).
     ///
-    /// Uses diamond rejection sampling in the non-wrapping regime
-    /// (acceptance ≈ ½) and whole-torus rejection once the ball covers at
-    /// least ~half the torus, so expected work is O(1) for every radius.
+    /// [`Torus::sample_in_ball_from`] at `u`'s coordinate.
     pub fn sample_in_ball<R: Rng + ?Sized>(&self, u: NodeId, r: u32, rng: &mut R) -> NodeId {
-        if r == 0 || self.n == 1 {
-            return u;
-        }
-        let side = self.side as u64;
-        if (2 * r as u64) < side {
-            // Diamond |dx|+|dy| ≤ r is injective: reject from the square.
-            // (Checked first so the hot non-wrapping path never pays the
-            // O(r) `ball_size` evaluation below.)
-            let ri = r as i64;
-            loop {
-                let dx = rng.gen_range(-ri..=ri);
-                let dy = rng.gen_range(-ri..=ri);
-                if dx.abs() + dy.abs() <= ri {
-                    return self.offset(u, dx, dy);
-                }
-            }
-        }
-        if self.ball_size(r) == self.n as u64 {
-            return rng.gen_range(0..self.n);
-        }
-        // Large ball: reject from the whole torus (acceptance ≥ ~½ here).
+        self.sample_in_ball_from(self.coord(u), r, rng)
+    }
+
+    /// Uniform random node of `B_r(c)` for an already-decoded center
+    /// coordinate: [`Torus::ball_trial`] until a trial lands in the ball.
+    ///
+    /// Expected work is O(1) for every radius: diamond rejection from the
+    /// enclosing square in the non-wrapping regime (acceptance ≈ ½), and
+    /// whole-torus rejection once the ball covers at least ~half the
+    /// torus.
+    pub fn sample_in_ball_from<R: Rng + ?Sized>(&self, c: Coord, r: u32, rng: &mut R) -> NodeId {
         loop {
-            let v = rng.gen_range(0..self.n);
-            if self.dist(u, v) <= r {
+            let (v, inside) = self.ball_trial(c, r, rng);
+            if inside {
                 return v;
             }
         }
     }
 
-    /// [`Torus::sample_in_ball`] from an already-decoded center coordinate.
+    /// One proposal of [`Torus::sample_in_ball_from`]'s rejection loop:
+    /// the node its draws name, and whether that node lies in `B_r(c)`.
     ///
-    /// Rejection-sampling loops call this once per trial, so it avoids
-    /// both the center's div/mod decode and the `rem_euclid` divisions of
-    /// the generic `offset` wrap: `|dx|, |dy| ≤ r < side` in the diamond
-    /// regime, so a compare-and-add wraps each axis.
-    pub fn sample_in_ball_from<R: Rng + ?Sized>(&self, c: Coord, r: u32, rng: &mut R) -> NodeId {
-        if 0 < r && (2 * r as u64) < self.side as u64 {
-            let side = self.side as i64;
-            let ri = r as i64;
-            loop {
-                let dx = rng.gen_range(-ri..=ri);
-                let dy = rng.gen_range(-ri..=ri);
-                if dx.abs() + dy.abs() > ri {
-                    continue;
-                }
-                let mut x = c.x as i64 + dx;
-                if x < 0 {
-                    x += side;
-                } else if x >= side {
-                    x -= side;
-                }
-                let mut y = c.y as i64 + dy;
-                if y < 0 {
-                    y += side;
-                } else if y >= side {
-                    y -= side;
-                }
-                return y as u32 * self.side + x as u32;
-            }
+    /// A proposal draws nothing when the ball is `c` alone (`r = 0` or a
+    /// one-node torus) and always lands. In the diamond regime `2r < side`
+    /// it draws `dx` then `dy` uniformly from `[−r, r]` and lands iff
+    /// `|dx| + |dy| ≤ r`; since `|dx|, |dy| ≤ r < side`, a compare-and-add
+    /// wraps each axis, and the named node is a valid id either way.
+    /// Otherwise it draws one uniform node of the whole torus and lands iff
+    /// that node is within `r` of `c` (always, once the ball is the whole
+    /// torus). Rejection loops that also test the node against something
+    /// else (cache membership) combine the two flags without a branch.
+    #[inline(always)]
+    pub fn ball_trial<R: Rng + ?Sized>(&self, c: Coord, r: u32, rng: &mut R) -> (NodeId, bool) {
+        if r == 0 || self.n == 1 {
+            return (self.node(c), true);
         }
-        self.sample_in_ball(self.node(c), r, rng)
+        if 2 * r as u64 >= self.side as u64 {
+            let v = rng.gen_range(0..self.n);
+            return (v, self.dist_from(c, v) <= r);
+        }
+        let (side, ri) = (self.side as i64, r as i64);
+        let dx = rng.gen_range(-ri..=ri);
+        let dy = rng.gen_range(-ri..=ri);
+        let x = wrap_once(c.x as i64 + dx, side);
+        let y = wrap_once(c.y as i64 + dy, side);
+        (y as u32 * self.side + x as u32, dx.abs() + dy.abs() <= ri)
     }
 
     /// Exact mean hop distance between a uniform ordered pair of nodes.
@@ -376,6 +359,18 @@ impl Torus {
             let y = wrap_offset(cy, dy, side);
             f(self.node(Coord::new(x, y)));
         }
+    }
+}
+
+/// `v mod side` for `v ∈ (−side, 2·side)`: one compare-and-add per bound.
+#[inline]
+fn wrap_once(v: i64, side: i64) -> i64 {
+    if v < 0 {
+        v + side
+    } else if v >= side {
+        v - side
+    } else {
+        v
     }
 }
 
@@ -597,6 +592,68 @@ mod tests {
                     (got - expect).abs() < 5.0 * expect.sqrt() + 1.0,
                     "r={r} node {v}: {got} vs {expect}"
                 );
+            }
+        }
+    }
+
+    /// `sample_in_ball` as first written: diamond rejection through the
+    /// `rem_euclid` wrap of `offset`, a `ball_size` check, then
+    /// whole-torus rejection. Kept as the oracle of the draw sequence.
+    fn reference_sample(t: &Torus, u: NodeId, r: u32, rng: &mut SmallRng) -> NodeId {
+        if r == 0 || t.n() == 1 {
+            return u;
+        }
+        if (2 * r as u64) < t.side() as u64 {
+            let ri = r as i64;
+            loop {
+                let dx = rng.gen_range(-ri..=ri);
+                let dy = rng.gen_range(-ri..=ri);
+                if dx.abs() + dy.abs() <= ri {
+                    return t.offset(u, dx, dy);
+                }
+            }
+        }
+        if t.ball_size(r) == t.n() as u64 {
+            return rng.gen_range(0..t.n());
+        }
+        loop {
+            let v = rng.gen_range(0..t.n());
+            if t.dist(u, v) <= r {
+                return v;
+            }
+        }
+    }
+
+    #[test]
+    fn ball_trial_loop_matches_both_samplers_draw_for_draw() {
+        // r = 0, the diamond regime, whole-torus rejection and a ball that
+        // is the whole torus, on every side up to 12.
+        for side in 1..=12u32 {
+            let t = Torus::new(side);
+            for r in 0..=side {
+                for seed in 0..200u64 {
+                    let u = (seed * 7919 % t.n() as u64) as NodeId;
+                    let c = t.coord(u);
+                    let mut trials = SmallRng::seed_from_u64(seed);
+                    let v = loop {
+                        let (v, inside) = t.ball_trial(c, r, &mut trials);
+                        assert!(v < t.n(), "side={side} r={r}: trial named node {v}");
+                        assert_eq!(inside, t.dist(u, v) <= r, "side={side} r={r} v={v}");
+                        if inside {
+                            break v;
+                        }
+                    };
+                    let mut reference = SmallRng::seed_from_u64(seed);
+                    let mut plain = SmallRng::seed_from_u64(seed);
+                    let mut from = SmallRng::seed_from_u64(seed);
+                    let at = format!("side={side} r={r} seed={seed}");
+                    assert_eq!(v, reference_sample(&t, u, r, &mut reference), "{at}");
+                    assert_eq!(v, t.sample_in_ball(u, r, &mut plain), "{at}");
+                    assert_eq!(v, t.sample_in_ball_from(c, r, &mut from), "{at}");
+                    assert_eq!(trials, reference, "{at}: generator state");
+                    assert_eq!(trials, plain, "{at}: generator state");
+                    assert_eq!(trials, from, "{at}: generator state");
+                }
             }
         }
     }
